@@ -64,6 +64,7 @@ from .pairing import (
     create_pair_ds,
     derive_seed,
     neighbor_diagnostics,
+    pair_distances,
 )
 from .theory import (
     FiniteScene,
@@ -122,6 +123,7 @@ __all__ = [
     "mmd_shift_toy",
     "neighbor_diagnostics",
     "paired_t_test_one_sided",
+    "pair_distances",
     "pair_loss",
     "pair_loss_binary",
     "pair_loss_decomposition",

@@ -2,7 +2,8 @@
 
 Datasets carry stable row ids and a source token so that downstream pair
 construction can exclude an anchor from its own candidate pool only when the
-two datasets actually descend from the same generated table.
+two datasets actually descend from the same table.  The token is a hash of
+the table's content, so the same table loaded twice is still one source.
 
 Noise convention: where a recipe says N(0, v), v is a variance.
 """
@@ -10,6 +11,7 @@ Noise convention: where a recipe says N(0, v), v is a variance.
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import json
 import os
@@ -19,8 +21,6 @@ import numpy as np
 
 BINARY = "binary"
 CONTINUOUS = "continuous"
-
-_SOURCE_COUNTER = itertools.count()
 
 
 class MissingGroundTruth(RuntimeError):
@@ -63,6 +63,9 @@ class Dataset:
             raise ValueError("dataset must contain at least one row")
         if not (len(self.x) == len(self.t) == len(self.y)):
             raise ValueError("covariates, treatments, outcomes must align")
+        for name in ("x", "t", "y"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"dataset {name} holds non-finite values")
         if self.mode == BINARY:
             if not np.all((self.t == 0) | (self.t == 1)):
                 raise ValueError("binary treatments must be 0 or 1")
@@ -76,7 +79,10 @@ class Dataset:
         else:
             self.ids = np.asarray(self.ids, dtype=int)
         if not self.source:
-            self.source = f"ds-{next(_SOURCE_COUNTER)}"
+            h = hashlib.sha256(repr(self.x.shape).encode())
+            for arr in (self.ids, self.x, self.t, self.y):
+                h.update(np.ascontiguousarray(arr).tobytes())
+            self.source = f"ds-{h.hexdigest()[:16]}"
 
     def __len__(self):
         return len(self.x)

@@ -193,10 +193,17 @@ def _cell_config(method, cell, overrides, cell_seed) -> TrainConfig:
 
 
 def _write_atomic(path, text) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write through a uniquely named temporary in the target directory, so
+    concurrent writers never share a half-written file."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _pair_shift_mmd(ds, pairing_kwargs, seed):

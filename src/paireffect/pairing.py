@@ -6,8 +6,18 @@ assembled pairs with the largest distances is then dropped globally.
 Continuous treatments first draw a target t' ~ Uniform[0,1] per anchor and
 restrict candidates to a window around it.
 
+Distances are computed in anchor blocks whose difference temporary stays
+within _BLOCK_BYTES (or one anchor's row, when that is larger), either on
+the fly or read from a table made once by pair_distances.  Training keeps the embedding fixed for the whole run, so it
+builds that table once from the train split (n_train**2 float64: 2.2 MB at
+n_train = 525, 392 MB at 7,000) and hands it to every epoch.  The top k keys
+are found with a partition, then only the candidates at or above the k-th
+key are sorted.
+
 Determinism: each anchor owns an rng derived from (seed, anchor position), so
-results are independent of iteration order and safe to parallelize.
+results are independent of iteration order and safe to parallelize.  The
+rng draws, in order, the continuous target and then the Gumbel keys; neither
+the distance table nor the block size changes a draw or a distance bit.
 """
 
 from __future__ import annotations
@@ -91,10 +101,6 @@ class PhiEmbedding:
         return nets._chain_forward(self.chain, self.phi_specs, x)
 
 
-def embed(provider, x):
-    return provider.embed(x)
-
-
 # ---------------------------------------------------------------------------
 # Pair datasets
 
@@ -164,81 +170,116 @@ def _softmax_neg(distances, lam):
     return z / np.sum(z)
 
 
-def neighbor_distribution(anchor_x, anchor_t, candidates: Dataset, provider,
-                          lam, mode=BINARY, target_t=None, halfwidth=0.05,
-                          exclude_id=None):
-    """Probability over candidate rows of being sampled as the anchor's pair.
+# the largest difference temporary one distance block may allocate
+_BLOCK_BYTES = 1 << 18
 
-    Ineligible rows (same treatment in binary mode, outside the target window
-    in continuous mode, or the anchor itself via `exclude_id`) get zero.
+
+def _distance_blocks(e_anchor, e_cand):
+    """Yield (first row, block) of anchor-to-candidate Euclidean distances.
+
+    Each entry is sqrt(add.reduce(diff * diff)) over a contiguous row, the
+    same reduction np.linalg.norm(..., axis=1) does, so the values match it
+    bit for bit whatever the block size.
     """
-    e_anchor = provider.embed(np.asarray(anchor_x, dtype=float)[None, :])[0]
-    e_cand = provider.embed(candidates.x)
-    if mode == BINARY:
-        eligible = candidates.t != anchor_t
-    else:
-        if target_t is None:
-            raise ValueError("continuous mode needs the drawn target treatment")
-        eligible = np.abs(candidates.t - target_t) < halfwidth
-    if exclude_id is not None:
-        eligible &= candidates.ids != exclude_id
-    if not np.any(eligible):
-        raise NoEligibleNeighbor("no candidate satisfies the treatment rule")
-    d = np.linalg.norm(e_cand[eligible] - e_anchor, axis=1)
-    probs = np.zeros(len(candidates))
-    probs[np.flatnonzero(eligible)] = _softmax_neg(d, lam)
-    return probs
+    e_anchor = np.ascontiguousarray(e_anchor)
+    e_cand = np.ascontiguousarray(e_cand)
+    rows = max(1, _BLOCK_BYTES // max(e_cand.nbytes, 1))
+    for lo in range(0, len(e_anchor), rows):
+        diff = e_cand - e_anchor[lo:lo + rows, None, :]
+        diff *= diff
+        yield lo, np.sqrt(np.add.reduce(diff, axis=-1))
+
+
+def pair_distances(anchors: Dataset, candidates: Dataset, provider) -> np.ndarray:
+    """The full anchor x candidate distance table in the provider's
+    embedding, for reuse across create_pair_ds calls on the same tables."""
+    out = np.empty((len(anchors), len(candidates)))
+    for lo, block in _distance_blocks(provider.embed(anchors.x),
+                                      provider.embed(candidates.x)):
+        out[lo:lo + len(block)] = block
+    return out
+
+
+def _top_k(keys, k):
+    """Indices of the k largest keys, ties to the lower index: exactly
+    np.argsort(-keys, kind="stable")[:k], NaN keys last, without sorting
+    every key."""
+    neg = -keys
+    kth = np.partition(neg, k - 1)[k - 1]
+    # `not >` keeps NaNs, and everything when kth itself is NaN, so the
+    # stable sort below still sees every key the full sort would rank first
+    top = np.flatnonzero(~(neg > kth))
+    return top[np.argsort(neg[top], kind="stable")[:k]]
 
 
 def create_pair_ds(anchors: Dataset, candidates: Dataset,
-                   config: PairingConfig, provider, rng_seed) -> PairDataset:
+                   config: PairingConfig, provider, rng_seed,
+                   distances=None) -> PairDataset:
     """Sample num_neighbors opposite-treatment pairs per anchor, then drop
-    the delta_pair fraction with the largest embedding distances."""
+    the delta_pair fraction with the largest embedding distances.
+
+    distances: optional pair_distances(anchors, candidates, provider) table;
+    without it the same distances are computed block by block.
+    """
     if anchors.dim != candidates.dim or anchors.mode != candidates.mode:
         raise ValueError("anchor and candidate datasets disagree on shape/mode")
     mode = anchors.mode
-    e_anchor = provider.embed(anchors.x)
-    e_cand = provider.embed(candidates.x)
+    k = config.num_neighbors
+    if distances is None:
+        blocks = _distance_blocks(provider.embed(anchors.x),
+                                  provider.embed(candidates.x))
+    else:
+        if np.shape(distances) != (len(anchors), len(candidates)):
+            raise ValueError(
+                f"distance table has shape {np.shape(distances)}, expected "
+                f"{(len(anchors), len(candidates))}"
+            )
+        blocks = [(0, distances)]
     same_table = anchors.source == candidates.source
 
-    rows_a, rows_c, dists, targets = [], [], [], []
-    skipped = 0
-    for i in range(len(anchors)):
-        rng = np.random.default_rng([rng_seed, i])
-        if mode == BINARY:
-            eligible = candidates.t != anchors.t[i]
-            target = None
-        else:
-            target = rng.uniform()
-            eligible = np.abs(candidates.t - target) < config.continuous_halfwidth
-        if same_table:
-            eligible = eligible & (candidates.ids != anchors.ids[i])
-        idx = np.flatnonzero(eligible)
-        if len(idx) == 0:
-            skipped += 1
-            continue
-        d = np.linalg.norm(e_cand[idx] - e_anchor[i], axis=1)
-        if len(idx) >= config.num_neighbors:
-            # Gumbel top-k == successive softmax draws without replacement,
-            # and stays exact for arbitrarily large temperatures where the
-            # normalized probabilities would underflow
-            keys = -config.temperature * d + rng.gumbel(size=len(idx))
-            pick = np.argsort(-keys, kind="stable")[:config.num_neighbors]
-        else:
-            probs = _softmax_neg(d, config.temperature)
-            pick = rng.choice(len(idx), size=config.num_neighbors,
-                              replace=True, p=probs)
-        for j in pick:
-            rows_a.append(i)
-            rows_c.append(idx[j])
-            dists.append(d[j])
-            targets.append(0.0 if target is None else target)
-    if not rows_a:
+    # at most k pairs per anchor; filled up to `size`
+    rows_a = np.empty(len(anchors) * k, dtype=np.intp)
+    rows_c = np.empty_like(rows_a)
+    dists = np.empty(len(rows_a))
+    targets = np.empty(len(rows_a))
+    size = skipped = 0
+    for lo, block in blocks:
+        for i, row in enumerate(block, start=lo):
+            rng = np.random.default_rng([rng_seed, i])
+            if mode == BINARY:
+                eligible = candidates.t != anchors.t[i]
+                target = 0.0
+            else:
+                target = rng.uniform()
+                eligible = (np.abs(candidates.t - target)
+                            < config.continuous_halfwidth)
+            if same_table:
+                eligible = eligible & (candidates.ids != anchors.ids[i])
+            idx = np.flatnonzero(eligible)
+            if len(idx) == 0:
+                skipped += 1
+                continue
+            d = row[idx]
+            if len(idx) >= k:
+                # Gumbel top-k == successive softmax draws without
+                # replacement, and stays exact for arbitrarily large
+                # temperatures where the normalized probabilities would
+                # underflow
+                keys = -config.temperature * d + rng.gumbel(size=len(idx))
+                pick = _top_k(keys, k)
+            else:
+                probs = _softmax_neg(d, config.temperature)
+                pick = rng.choice(len(idx), size=k, replace=True, p=probs)
+            fill = slice(size, size + k)
+            rows_a[fill] = i
+            rows_c[fill] = idx[pick]
+            dists[fill] = d[pick]
+            targets[fill] = target
+            size += k
+    if size == 0:
         raise EmptyPairDataset("every anchor was skipped")
 
-    rows_a = np.array(rows_a)
-    rows_c = np.array(rows_c)
-    dists = np.array(dists)
+    rows_a, rows_c, dists = rows_a[:size], rows_c[:size], dists[:size]
     keep = int(np.floor((1.0 - config.delta_pair) * len(rows_a) + 0.5))
     order = np.argsort(dists, kind="stable")[:keep]
     order = np.sort(order)  # keep assembly order among the retained pairs
@@ -253,7 +294,7 @@ def create_pair_ds(anchors: Dataset, candidates: Dataset,
         tp=candidates.t[rows_c[order]],
         yp=candidates.y[rows_c[order]],
         distance=dists[order],
-        target_t=np.array(targets)[order] if mode == CONTINUOUS else None,
+        target_t=targets[order] if mode == CONTINUOUS else None,
         provenance={
             "anchor_source": anchors.source,
             "candidate_source": candidates.source,

@@ -6,7 +6,9 @@ has not improved for `patience` consecutive epochs, and restoration of the
 best-validation parameter snapshot.  Pair-based objectives rebuild their
 training pairs from the train split at the start of every epoch, while the
 validation pair set (validation anchors, candidates drawn from the full
-dataset) is built once and kept fixed so epochs stay comparable.
+dataset) is built once and kept fixed so epochs stay comparable.  The pair
+embedding is fixed for the run, so the train split's distance table is
+computed once and every epoch only redraws its neighbors from it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .pairing import (
     RandomProjectionEmbedding,
     create_pair_ds,
     derive_seed,
+    pair_distances,
 )
 
 PSI_IDENTITY = "identity"
@@ -175,6 +178,7 @@ def train(ds: Dataset, config: TrainConfig):
         )
         notes["n_val_pairs"] = len(val_batch)
         notes["val_skipped_anchors"] = val_batch.provenance["skipped_anchors"]
+        train_distances = pair_distances(train_ds, train_ds, provider)
     else:
         provider = None
         val_batch = val_ds
@@ -191,6 +195,7 @@ def train(ds: Dataset, config: TrainConfig):
             data = create_pair_ds(
                 train_ds, train_ds, config.pairing, provider,
                 derive_seed(config.seed, "train-pairs", epoch),
+                distances=train_distances,
             )
             pair_hashes.append(data.content_hash())
         else:

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from paireffect import losses, theory
 from paireffect.datagen import GPToyConfig
@@ -107,6 +108,7 @@ def test_criterion_04_risk_bound_and_tighter_ipm_term(capsys):
              f"{elapsed:.1f}s (limit 30s)")
 
 
+@pytest.mark.slow
 def test_criterion_05_neighbor_distance_consistency(capsys):
     start = time.perf_counter()
     strict_ratios, violated_ratios = [], []
@@ -204,6 +206,7 @@ def test_criterion_08_three_way_distribution(capsys):
              f"{ce_gap:.1e} (need <=1e-12)")
 
 
+@pytest.mark.slow
 def test_criterion_09_end_to_end_ordering(capsys, tmp_path):
     start = time.perf_counter()
     generator = {"kind": "polynomial", "n": 750, "n_test": 750,

@@ -33,6 +33,30 @@ def test_dataset_validation():
         Dataset(x=np.zeros((2, 1)), t=np.zeros(2), y=np.zeros(2), mode="dose")
 
 
+@pytest.mark.parametrize("field", ["x", "t", "y"])
+def test_dataset_rejects_non_finite_values(field, tmp_path):
+    cols = {"x": np.zeros((3, 2)), "t": np.array([0.0, 0.5, 1.0]),
+            "y": np.zeros(3)}
+    cols[field] = cols[field].copy()
+    cols[field].flat[1] = np.nan
+    with pytest.raises(ValueError, match=f"dataset {field} holds non-finite"):
+        Dataset(**cols, mode=CONTINUOUS)
+    # the CSV loader hands its columns to the same check
+    path = tmp_path / "nan.csv"
+    path.write_text("x0,t,y\n0.0,1.0,nan\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="dataset y holds non-finite"):
+        load_csv(path, BINARY)
+
+
+def test_source_token_follows_content():
+    ds = gen_polynomial_synth(20, np.random.default_rng(1))
+    again = gen_polynomial_synth(20, np.random.default_rng(1))
+    other = gen_polynomial_synth(20, np.random.default_rng(2))
+    assert ds.source == again.source
+    assert ds.source != other.source
+    assert ds.subset([3, 4]).source == ds.source
+
+
 def test_true_mu_requires_oracle():
     ds = Dataset(x=np.zeros((2, 1)), t=np.zeros(2), y=np.zeros(2))
     with pytest.raises(MissingGroundTruth):

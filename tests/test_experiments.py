@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from paireffect.datagen import GPToyConfig, gen_polynomial_synth, save_csv
-from paireffect.experiments import gp_correlation_toy, mmd_shift_toy, run_experiment
+from paireffect.experiments import (
+    _write_atomic,
+    gp_correlation_toy,
+    mmd_shift_toy,
+    run_experiment,
+)
 
 BASE_TRAIN = {
     "arch": "shallow",
@@ -176,3 +181,16 @@ def test_run_experiment_continuous_generator(tmp_path):
     bad = dict(desc, generator={"kind": "continuous", "family": "mystery"})
     with pytest.raises(ValueError):
         run_experiment(bad, str(tmp_path / "bad"))
+
+
+def test_write_atomic_uses_its_own_temporary(tmp_path):
+    target = tmp_path / "results.csv"
+    # another writer's temporary under the old fixed name stays untouched
+    other = tmp_path / "results.csv.tmp"
+    other.write_text("someone else's half-written file", encoding="utf-8")
+    _write_atomic(str(target), "a,b\n1,2\n")
+    _write_atomic(str(target), "a,b\n3,4\n")
+    assert target.read_text(encoding="utf-8") == "a,b\n3,4\n"
+    assert other.read_text(encoding="utf-8") == "someone else's half-written file"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv",
+                                                          "results.csv.tmp"]

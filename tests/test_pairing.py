@@ -9,10 +9,11 @@ from paireffect.pairing import (
     PairingConfig,
     PhiEmbedding,
     RandomProjectionEmbedding,
+    _top_k,
     create_pair_ds,
     derive_seed,
-    embed,
     neighbor_diagnostics,
+    pair_distances,
     save_pairs_csv,
 )
 
@@ -144,11 +145,11 @@ def test_continuous_candidates_respect_dosage_window():
 
 def test_embedding_providers_shape_and_determinism(rng):
     x = rng.normal(size=(12, 6))
-    ident = embed(IdentityEmbedding(6), x)
+    ident = IdentityEmbedding(6).embed(x)
     assert np.array_equal(ident, x)
-    proj_a = embed(RandomProjectionEmbedding(6, 3, seed=1), x)
-    proj_b = embed(RandomProjectionEmbedding(6, 3, seed=1), x)
-    proj_c = embed(RandomProjectionEmbedding(6, 3, seed=2), x)
+    proj_a = RandomProjectionEmbedding(6, 3, seed=1).embed(x)
+    proj_b = RandomProjectionEmbedding(6, 3, seed=1).embed(x)
+    proj_c = RandomProjectionEmbedding(6, 3, seed=2).embed(x)
     assert proj_a.shape == (12, 3)
     assert np.array_equal(proj_a, proj_b)
     assert not np.allclose(proj_a, proj_c)
@@ -158,7 +159,7 @@ def test_phi_embedding_uses_model_representation(rng):
     from paireffect.models import build_model
 
     model = build_model(arch="shallow", mode="binary", input_dim=4, rng_seed=0)
-    z = embed(PhiEmbedding(model), rng.normal(size=(3, 4)))
+    z = PhiEmbedding(model).embed(rng.normal(size=(3, 4)))
     assert z.shape == (3, 200)  # shallow trunk width
 
 
@@ -195,3 +196,162 @@ def test_save_pairs_csv_round_readable(tmp_path):
     rows = list(csv.DictReader(open(path)))
     assert len(rows) == len(pairs)
     assert float(rows[0]["distance"]) == pytest.approx(pairs.distance[0])
+
+
+# ---------------------------------------------------------------------------
+# Exact reference and pinned random streams
+
+
+def neighbor_distribution(anchor_x, anchor_t, candidates, provider, lam,
+                          exclude_id=None):
+    """Exact binary-mode probability over candidate rows of being drawn as
+    the anchor's single neighbor: softmax(-lam * d) over the opposite arm,
+    zero elsewhere and at `exclude_id`."""
+    e_anchor = provider.embed(np.asarray(anchor_x, dtype=float)[None, :])[0]
+    eligible = candidates.t != anchor_t
+    if exclude_id is not None:
+        eligible &= candidates.ids != exclude_id
+    if not np.any(eligible):
+        raise NoEligibleNeighbor("no candidate satisfies the treatment rule")
+    d = np.linalg.norm(provider.embed(candidates.x)[eligible] - e_anchor, axis=1)
+    z = np.exp(-lam * (d - d.min()))
+    probs = np.zeros(len(candidates))
+    probs[eligible] = z / z.sum()
+    return probs
+
+
+def test_neighbor_frequencies_match_softmax_chi_square():
+    # one anchor, 12 opposite-arm candidates and 3 same-arm decoys
+    x = np.concatenate([[0.0], np.linspace(0.2, 2.5, 12), [0.1, 0.5, 1.0]])
+    t = np.concatenate([[0.0], np.ones(12), np.zeros(3)])
+    ds = Dataset(x=x[:, None], t=t, y=np.zeros(len(x)), mode=BINARY)
+    provider = IdentityEmbedding(1)
+    cfg = PairingConfig(temperature=1.5, num_neighbors=1, delta_pair=0.0)
+    draws = 3000
+    counts = np.zeros(len(x))
+    for s in range(draws):
+        pairs = create_pair_ds(ds.subset([0]), ds, cfg, provider, s)
+        counts[pairs.nbr_idx[0]] += 1
+    probs = neighbor_distribution(x[:1], 0.0, ds, provider, 1.5, exclude_id=0)
+    support = probs > 0
+    assert np.array_equal(np.flatnonzero(support), np.arange(1, 13))
+    assert counts[~support].sum() == 0
+    expected = draws * probs[support]
+    chi2 = float(np.sum((counts[support] - expected) ** 2 / expected))
+    # 11 degrees of freedom; 31.26 is the 0.999 quantile
+    assert chi2 < 31.26
+
+
+def _continuous_table():
+    rng = np.random.default_rng(3)
+    n = 80
+    return Dataset(x=rng.normal(size=(n, 2)), t=rng.uniform(size=n),
+                   y=rng.normal(size=n), mode=CONTINUOUS)
+
+
+def _short_arm_table():
+    # two treated rows: every control anchor has fewer than k = 3 candidates
+    rng = np.random.default_rng(5)
+    return Dataset(x=rng.normal(size=(12, 2)), t=np.array([1.0] * 2 + [0.0] * 10),
+                   y=rng.normal(size=12), mode=BINARY)
+
+
+# Hashes recorded before the blockwise sampler replaced the per-anchor norm
+# and full argsort; a change here means the random streams moved.
+GOLDEN = {
+    "binary": ("63817214e39fd6aa", 162),
+    "continuous": ("9562f6f9249c5a4e", 144),
+    "fallback": ("39de3fe430461955", 36),
+}
+
+
+def _golden_cases():
+    ds = binary_dataset(n=60, seed=0)
+    cds = _continuous_table()
+    fds = _short_arm_table()
+    return {
+        "binary": (ds, PairingConfig(num_neighbors=3),
+                   RandomProjectionEmbedding(3, 5, seed=1), 42),
+        "continuous": (cds, PairingConfig(num_neighbors=2, temperature=2.0),
+                       IdentityEmbedding(2), 7),
+        "fallback": (fds, PairingConfig(num_neighbors=3, delta_pair=0.0),
+                     IdentityEmbedding(2), 11),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_pair_draws_match_recorded_hashes(case):
+    ds, cfg, provider, seed = _golden_cases()[case]
+    pairs = create_pair_ds(ds, ds, cfg, provider, seed)
+    assert (pairs.content_hash(), len(pairs)) == GOLDEN[case]
+    if case == "fallback":
+        # control anchors draw with replacement from the two treated rows
+        controls = pairs.anchor_idx >= 2
+        assert set(pairs.nbr_idx[controls]) <= {0, 1}
+        assert np.sum(controls) == 30
+
+
+@pytest.mark.parametrize("dim", [1, 3, 10, 200])
+@pytest.mark.parametrize("block_bytes", [1, 4096, 1 << 18])
+def test_pair_distances_match_norm_bit_for_bit(monkeypatch, dim, block_bytes):
+    from paireffect import pairing
+
+    monkeypatch.setattr(pairing, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(dim)
+    anchors = Dataset(x=rng.normal(size=(9, dim)), t=np.zeros(9),
+                      y=np.zeros(9))
+    candidates = Dataset(x=rng.normal(size=(40, dim)), t=np.ones(40),
+                         y=np.zeros(40))
+    provider = IdentityEmbedding(dim)
+    table = pair_distances(anchors, candidates, provider)
+    assert table.shape == (9, 40)
+    for i in range(9):
+        ref = np.linalg.norm(candidates.x - anchors.x[i], axis=1)
+        assert np.array_equal(table[i], ref)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_distance_table_gives_same_pairs(case):
+    ds, cfg, provider, seed = _golden_cases()[case]
+    table = pair_distances(ds, ds, provider)
+    with_table = create_pair_ds(ds, ds, cfg, provider, seed, distances=table)
+    without = create_pair_ds(ds, ds, cfg, provider, seed)
+    assert with_table.content_hash() == without.content_hash()
+    assert np.array_equal(with_table.xp, without.xp)
+    if ds.mode == CONTINUOUS:
+        assert np.array_equal(with_table.target_t, without.target_t)
+    with pytest.raises(ValueError):
+        create_pair_ds(ds, ds, cfg, provider, seed, distances=table[1:])
+
+
+def test_top_k_equals_stable_argsort_with_ties_and_nans():
+    rng = np.random.default_rng(0)
+    cases = [
+        rng.normal(size=50),
+        rng.integers(0, 4, size=50).astype(float),  # heavy ties at the cut
+        np.array([1.0, np.nan, 1.0, 3.0, np.nan, 3.0]),
+        np.array([np.nan, np.nan, 2.0]),  # fewer finite keys than k
+        np.full(7, -np.inf),
+    ]
+    for keys in cases:
+        for k in range(1, len(keys) + 1):
+            expect = np.argsort(-keys, kind="stable")[:k]
+            assert np.array_equal(_top_k(keys, k), expect)
+
+
+def test_same_table_loaded_twice_never_self_pairs(tmp_path):
+    from paireffect.datagen import load_csv, save_csv
+
+    rng = np.random.default_rng(2)
+    n = 300
+    ds = Dataset(x=rng.normal(size=(n, 2)), t=rng.uniform(size=n),
+                 y=rng.normal(size=n), mode=CONTINUOUS)
+    path = tmp_path / "table.csv"
+    save_csv(ds, path)
+    first = load_csv(path, mode=CONTINUOUS)
+    second = load_csv(path, mode=CONTINUOUS)
+    assert first.source == second.source
+    cfg = PairingConfig(num_neighbors=3, continuous_halfwidth=0.1,
+                        delta_pair=0.0)
+    pairs = create_pair_ds(first, second, cfg, IdentityEmbedding(2), 4)
+    assert np.all(pairs.anchor_idx != pairs.nbr_idx)
