@@ -56,7 +56,6 @@ from .nets import NonFiniteValue, RegConfig, ShapeMismatch, finite_diff_check
 from .pairing import (
     EmptyPairDataset,
     IdentityEmbedding,
-    NoEligibleNeighbor,
     PairDataset,
     PairingConfig,
     PhiEmbedding,
@@ -90,7 +89,6 @@ __all__ = [
     "IdentityEmbedding",
     "LossConfig",
     "MissingGroundTruth",
-    "NoEligibleNeighbor",
     "NonFiniteValue",
     "Oracle",
     "PairDataset",

@@ -5,13 +5,17 @@ each holding the (weight, bias) pairs of one chain of affine layers with ELU
 or identity activations.  Gradients are hand-rolled reverse-mode and are
 validated against central finite differences (`finite_diff_check`).
 
-Everything here is pure: functions return fresh arrays and never mutate
-their inputs.  Batch losses are means over records, so gradient magnitudes
-do not scale with batch size.
+Parameters live in one contiguous vector (`ParamStore.flat`).  `adam_step`
+updates the parameters and its state in place (training keeps its best
+snapshot as a `.copy()`), and `loss_and_gradient` writes into a gradient
+store kept with the parameters, which the next call overwrites; everything
+else returns fresh arrays.  Batch losses are means over records, so gradient
+magnitudes do not scale with batch size.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 
@@ -49,60 +53,70 @@ class LayerSpec:
 
 def _apply_act(z, activation):
     if activation == ELU:
-        return np.where(z >= 0.0, z, np.expm1(z))
+        # expm1(z) > z for z < 0, so the max picks z for z >= 0 and expm1(z)
+        # below; equal to where(z >= 0, z, expm1(z)) bit for bit, -0.0,
+        # infinities and NaN included, without evaluating both branches
+        h = np.minimum(z, 0.0)
+        np.expm1(h, out=h)
+        return np.maximum(h, z, out=h)
     return z
 
 
 def _act_deriv(z, activation):
     if activation == ELU:
-        return np.where(z >= 0.0, 1.0, np.exp(z))
+        return np.exp(np.minimum(z, 0.0))  # where(z >= 0, 1, exp(z)), exactly
     return np.ones_like(z)
 
 
 class ParamStore:
     """Named blocks of (weight, bias) pairs, one pair per layer.
 
-    Weights are (n_out, n_in) float64, biases (n_out,).  The store behaves
-    like an immutable value in the public API: arithmetic helpers return new
-    stores and leave the operands untouched.
+    Weights are (n_out, n_in) float64, biases (n_out,).  Every array is a
+    view into the contiguous vector `flat`, laid out block by block in
+    insertion order, weight before bias; `spans` maps each block name to its
+    slice of `flat`, so a write through either shows in both.
     """
 
     def __init__(self, blocks: dict[str, list[tuple[np.ndarray, np.ndarray]]]):
-        self.blocks = {
+        blocks = {
             name: [
                 (np.asarray(w, dtype=float), np.asarray(b, dtype=float))
                 for w, b in layers
             ]
             for name, layers in blocks.items()
         }
+        self._bind(
+            np.concatenate(
+                [a.ravel() for layers in blocks.values() for pair in layers
+                 for a in pair]
+            ),
+            blocks,
+        )
+
+    def _bind(self, flat, like):
+        """Point this store at `flat`, shaped block by block as `like`."""
+        self.flat, self.blocks, self.spans = flat, {}, {}
+        self._grads = None  # loss_and_gradient's output store, made on first use
+        pos = 0
+        for name, layers in like.items():
+            start = pos
+            views = []
+            for a in (a for pair in layers for a in pair):
+                views.append(flat[pos:pos + a.size].reshape(a.shape))
+                pos += a.size
+            self.blocks[name] = list(zip(views[::2], views[1::2]))
+            self.spans[name] = slice(start, pos)
+
+    def _with_flat(self, flat) -> "ParamStore":
+        store = ParamStore.__new__(ParamStore)
+        store._bind(flat, self.blocks)
+        return store
 
     def copy(self) -> "ParamStore":
-        return ParamStore(
-            {
-                name: [(w.copy(), b.copy()) for w, b in layers]
-                for name, layers in self.blocks.items()
-            }
-        )
+        return self._with_flat(self.flat.copy())
 
     def zeros_like(self) -> "ParamStore":
-        return self.map(np.zeros_like)
-
-    def map(self, fn) -> "ParamStore":
-        return ParamStore(
-            {
-                name: [(fn(w), fn(b)) for w, b in layers]
-                for name, layers in self.blocks.items()
-            }
-        )
-
-    def combine(self, other: "ParamStore", fn) -> "ParamStore":
-        out = {}
-        for name, layers in self.blocks.items():
-            out[name] = [
-                (fn(w, ow), fn(b, ob))
-                for (w, b), (ow, ob) in zip(layers, other.blocks[name])
-            ]
-        return ParamStore(out)
+        return self._with_flat(np.zeros_like(self.flat))
 
     def arrays(self):
         """Yield every parameter array (weights and biases), in a fixed order."""
@@ -112,6 +126,8 @@ class ParamStore:
                 yield b
 
     def check_finite(self) -> None:
+        if np.isfinite(self.flat).all():
+            return
         for name, layers in self.blocks.items():
             for i, (w, b) in enumerate(layers):
                 if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
@@ -148,25 +164,6 @@ def init_chain(specs, rng) -> list[tuple[np.ndarray, np.ndarray]]:
     return chain
 
 
-def forward(chain, specs, x, extra=None):
-    """Evaluate one layer chain on a single input vector.
-
-    `extra`, when given, is a scalar appended to the input of every affine
-    layer in the chain (used for the within-bin treatment coordinate of
-    continuous-treatment heads).
-    """
-    h = np.asarray(x, dtype=float)
-    if h.ndim != 1:
-        raise ShapeMismatch(f"expected a 1-d input vector, got shape {h.shape}")
-    out = _chain_forward(
-        chain,
-        specs,
-        h[None, :],
-        None if extra is None else np.array([float(extra)]),
-    )[0]
-    return out[0]
-
-
 def _chain_forward(chain, specs, x, extras=None, caches=None):
     """Batched chain evaluation.  x is (m, n); extras, if given, is (m,)."""
     if len(chain) != len(specs):
@@ -181,25 +178,28 @@ def _chain_forward(chain, specs, x, extras=None, caches=None):
                 f"layer {i}: spec {spec.n_in}->{spec.n_out}, "
                 f"weight shape {w.shape}, input width {v.shape[1]}"
             )
-        z = v @ w.T + b
+        z = v @ w.T
+        z += b
         if caches is not None:
             caches.append((v, z))
         h = _apply_act(z, spec.activation)
     return h
 
 
-def _chain_backward(chain, specs, caches, d_out, has_extra):
-    """Backprop through one chain.  Returns ([(dW, db), ...], d_input)."""
-    grads = [None] * len(chain)
+def _chain_backward(chain, specs, caches, d_out, has_extra, grads):
+    """Backprop through one chain, writing each layer's (dW, db) into the
+    matching arrays of `grads`.  Returns d_input."""
     dh = d_out
     for i in reversed(range(len(chain))):
         w, _ = chain[i]
         v, z = caches[i]
         dz = dh * _act_deriv(z, specs[i].activation)
-        grads[i] = (dz.T @ v, dz.sum(axis=0))
+        gw, gb = grads[i]
+        np.matmul(dz.T, v, out=gw)
+        dz.sum(axis=0, out=gb)
         dv = dz @ w
         dh = dv[:, :-1] if has_extra else dv
-    return grads, dh
+    return dh
 
 
 def network_outputs(model, x, heads, extras):
@@ -257,7 +257,8 @@ def loss_and_gradient(model, batch, objective, reg):
 
     `objective` must provide requests(model, batch) -> (x, heads, extras)
     and value_and_output_grads(outputs, batch) -> (value, d_outputs), where
-    d_outputs already carries the 1/m mean factor.
+    d_outputs already carries the 1/m mean factor.  The gradient store is
+    kept with model.params and overwritten by the next call; copy to keep it.
     """
     x, heads, extras = objective.requests(model, batch)
     outputs, phi_out, phi_caches, head_state = _network_forward(
@@ -265,44 +266,37 @@ def loss_and_gradient(model, batch, objective, reg):
     )
     value, d_out = objective.value_and_output_grads(outputs, batch)
 
-    grads = {name: None for name in model.params.blocks}
+    params = model.params
+    if params._grads is None:
+        params._grads = params.zeros_like()
+    grads = params._grads
     d_phi_out = np.zeros_like(phi_out)
+    written = {"phi"}
     for h, (idx, caches) in head_state.items():
         name = f"head_{h}"
-        g, d_in = _chain_backward(
-            model.params.blocks[name],
+        d_phi_out[idx] += _chain_backward(
+            params.blocks[name],
             model.head_specs,
             caches,
             d_out[idx][:, None],
             has_extra=extras is not None,
+            grads=grads.blocks[name],
         )
-        grads[name] = g
-        d_phi_out[idx] += d_in
-    g_phi, _ = _chain_backward(
-        model.params.blocks["phi"], model.phi_specs, phi_caches, d_phi_out,
-        has_extra=False,
+        written.add(name)
+    _chain_backward(
+        params.blocks["phi"], model.phi_specs, phi_caches, d_phi_out,
+        has_extra=False, grads=grads.blocks["phi"],
     )
-    grads["phi"] = g_phi
 
-    out = {}
-    for name, layers in model.params.blocks.items():
+    for name, span in params.spans.items():
         weight = reg.l2_phi if name == "phi" else reg.l2_head
-        g = grads[name]
-        if g is None:  # head never routed to in this batch: L2 term only
-            out[name] = [(2.0 * weight * w, 2.0 * weight * b) for w, b in layers]
-        else:
-            out[name] = [
-                (gw + 2.0 * weight * w, gb + 2.0 * weight * b)
-                for (gw, gb), (w, b) in zip(g, layers)
-            ]
-    store = ParamStore(out)
-    store.check_finite()
-    return value + l2_penalty(model.params, reg), store
-
-
-def gradient(model, batch, objective, reg) -> ParamStore:
-    """Gradient of the regularized mean batch loss; see `loss_and_gradient`."""
-    return loss_and_gradient(model, batch, objective, reg)[1]
+        decay = 2.0 * weight * params.flat[span]
+        if name in written:
+            grads.flat[span] += decay
+        else:  # head never routed to in this batch: L2 term only
+            grads.flat[span] = decay
+    grads.check_finite()
+    return value + l2_penalty(params, reg), grads
 
 
 @dataclass
@@ -338,17 +332,30 @@ def adam_init(params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
 
 
 def adam_step(params, grads, state):
-    """One Adam update with bias correction; returns (new params, new state)."""
+    """One Adam update with bias correction, in place on `params` and
+    `state`; returns (params, state)."""
     t = state.step + 1
-    m = state.m.combine(grads, lambda m_, g: state.beta1 * m_ + (1 - state.beta1) * g)
-    v = state.v.combine(grads, lambda v_, g: state.beta2 * v_ + (1 - state.beta2) * g * g)
+    g, m, v = grads.flat, state.m.flat, state.v.flat
+    # the same operations, in the same order, as beta1 * m + (1 - beta1) * g,
+    # beta2 * v + (1 - beta2) * g * g and lr * (m / c1) / (sqrt(v / c2) + eps)
+    tmp = (1 - state.beta1) * g
+    m *= state.beta1
+    m += tmp
+    np.multiply(1 - state.beta2, g, out=tmp)
+    tmp *= g
+    v *= state.beta2
+    v += tmp
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    mhat = m.map(lambda a: a / c1)
-    vhat = v.map(lambda a: a / c2)
-    step = mhat.combine(vhat, lambda m_, v_: state.lr * m_ / (np.sqrt(v_) + state.eps))
-    new_params = params.combine(step, lambda p, s: p - s)
-    return new_params, AdamState(m, v, t, state.lr, state.beta1, state.beta2, state.eps)
+    np.divide(m, c1, out=tmp)
+    tmp *= state.lr
+    denom = v / c2
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    tmp /= denom
+    params.flat -= tmp
+    state.step = t
+    return params, state
 
 
 def finite_diff_check(model, batch, objective, reg, epsilon=1e-5) -> float:
@@ -362,40 +369,25 @@ def finite_diff_check(model, batch, objective, reg, epsilon=1e-5) -> float:
         raise ValueError(f"epsilon {epsilon} outside [1e-7, 1e-3]")
     _, analytic = loss_and_gradient(model, batch, objective, reg)
 
-    work = model.params.copy()
-    probe = _Probe(model, work)
+    probe = copy.copy(model)
+    probe.params = model.params.copy()
+    flat = probe.params.flat
 
     def total():
         x, heads, extras = objective.requests(probe, batch)
         outputs = network_outputs(probe, x, heads, extras)
         value, _ = objective.value_and_output_grads(outputs, batch)
-        return value + l2_penalty(work, reg)
+        return value + l2_penalty(probe.params, reg)
 
     worst = 0.0
-    for arr, g_arr in zip(work.arrays(), analytic.arrays()):
-        flat = arr.reshape(-1)
-        g_flat = g_arr.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + epsilon
-            up = total()
-            flat[j] = orig - epsilon
-            down = total()
-            flat[j] = orig
-            numeric = (up - down) / (2.0 * epsilon)
-            err = abs(g_flat[j] - numeric) / max(1.0, abs(numeric))
-            worst = max(worst, err)
+    for j, g in enumerate(analytic.flat):
+        orig = flat[j]
+        flat[j] = orig + epsilon
+        up = total()
+        flat[j] = orig - epsilon
+        down = total()
+        flat[j] = orig
+        numeric = (up - down) / (2.0 * epsilon)
+        err = abs(g - numeric) / max(1.0, abs(numeric))
+        worst = max(worst, err)
     return worst
-
-
-class _Probe:
-    """Model stand-in for finite differences: same architecture, shared
-    mutable parameter store."""
-
-    def __init__(self, model, params):
-        self.params = params
-        self.phi_specs = model.phi_specs
-        self.head_specs = model.head_specs
-        self.mode = model.mode
-        self.input_dim = model.input_dim
-        self.n_heads = model.n_heads

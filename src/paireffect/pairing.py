@@ -32,10 +32,6 @@ from . import nets
 from .datagen import BINARY, CONTINUOUS, Dataset
 
 
-class NoEligibleNeighbor(RuntimeError):
-    pass
-
-
 class EmptyPairDataset(RuntimeError):
     pass
 
@@ -317,20 +313,28 @@ def neighbor_diagnostics(pairs: PairDataset) -> dict:
     retained-neighbor distance (squared variant reported alongside)."""
     if len(pairs) == 0:
         raise ValueError("empty pair dataset")
-    per_anchor_mean = {}
-    per_anchor_mean_sq = {}
-    for a in np.unique(pairs.anchor_idx):
-        d = pairs.distance[pairs.anchor_idx == a]
-        per_anchor_mean[a] = float(np.mean(d))
-        per_anchor_mean_sq[a] = float(np.mean(d**2))
+    # each anchor's distances, contiguous and in pair order
+    order = np.argsort(pairs.anchor_idx, kind="stable")
+    anchors = pairs.anchor_idx[order]
+    d = pairs.distance[order]
+    starts = np.flatnonzero(np.r_[True, anchors[1:] != anchors[:-1]])
+    sizes = np.diff(np.r_[starts, len(d)])
+    delta_hat = delta_hat_sq = -np.inf
+    for size in np.unique(sizes):
+        # the anchors with `size` pairs as matrix rows: a row-wise mean sums
+        # each row exactly as np.mean sums that anchor's own 1-d array
+        rows = d[starts[sizes == size, None] + np.arange(size)]
+        delta_hat = max(delta_hat, float(np.max(np.mean(rows, axis=1))))
+        delta_hat_sq = max(delta_hat_sq,
+                           float(np.max(np.mean(rows**2, axis=1))))
     counts = {}
     if np.all((pairs.t == 0) | (pairs.t == 1)):
         counts = {int(g): int(np.sum(pairs.t == g)) for g in (0, 1)}
     return {
         "mean_distance": float(np.mean(pairs.distance)),
         "mean_sq_distance": float(np.mean(pairs.distance**2)),
-        "delta_hat": max(per_anchor_mean.values()),
-        "delta_hat_sq": max(per_anchor_mean_sq.values()),
+        "delta_hat": delta_hat,
+        "delta_hat_sq": delta_hat_sq,
         "per_treatment_counts": counts,
         "n_pairs": len(pairs),
     }

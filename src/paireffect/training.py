@@ -149,7 +149,10 @@ def _embedding_provider(config: TrainConfig, ds: Dataset):
 
 
 def train(ds: Dataset, config: TrainConfig):
-    """Run the full pipeline on one dataset; returns (model, RunRecord)."""
+    """Run the full pipeline on one dataset; returns (model, RunRecord).
+
+    Raises NonFiniteValue, naming the epoch, when the validation loss is
+    NaN or infinite, which early stopping could not compare."""
     if config.loss.kind == losses.PAIR_BINARY and ds.mode != BINARY:
         raise ValueError("binary-outcome pair loss needs binary treatments")
     objective = losses.make_objective(config.loss)
@@ -213,6 +216,8 @@ def train(ds: Dataset, config: TrainConfig):
             total += value * len(rows)
         train_losses.append(total / len(perm))
         val = losses.objective_value(model, val_batch, objective)
+        if not np.isfinite(val):
+            raise nets.NonFiniteValue(f"validation loss {val} at epoch {epoch}")
         val_losses.append(val)
         if val < best_val:
             best_val = val

@@ -1,0 +1,110 @@
+"""Exact fingerprints of short training runs, recorded before parameters
+became views into one flat vector; any change to the network arithmetic,
+the Adam update or the random streams moves them.
+
+Runs in a subprocess with one BLAS thread, because the thread count
+changes how BLAS rounds these products (the values were recorded with
+OpenBLAS 0.3 on x86-64; another BLAS build may round differently).
+Run this file directly to print the current values.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+GOLDEN = {
+    "factual_shallow_binary": {
+        "model_hash": "b45dd7ec4708661c",
+        "pair_hashes": [],
+        "val_losses": ["1.2826877247491508", "0.9777560986879625",
+                       "0.7504904017288946"],
+    },
+    "pair_deep_binary": {
+        "model_hash": "6a4778d47743938e",
+        "pair_hashes": ["9117d80e37c3a0fb", "4bd161af2996e561",
+                        "8b2700a377d0d5aa"],
+        "val_losses": ["1.5998054339737524", "1.2855904359347545",
+                       "1.007490610192864"],
+    },
+    "pair_shallow_continuous": {
+        "model_hash": "cdfd7b7a2f873844",
+        "pair_hashes": ["275e5b87318e3caf", "05c3b544eeebdaac",
+                        "8cf956dff38223f4"],
+        "val_losses": ["0.20171963802043907", "0.3049320957475796",
+                       "0.20181448432736365"],
+    },
+    "factual_deep_continuous": {
+        "model_hash": "8bcafa6c820113df",
+        "pair_hashes": [],
+        "val_losses": ["0.9980302502086366", "0.7279107481657678",
+                       "0.3719316940024735"],
+    },
+}
+
+
+def _continuous_dataset():
+    from paireffect.datagen import CONTINUOUS, Dataset
+
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(120, 4))
+    t = rng.uniform(size=120)
+    y = x[:, 0] + np.sin(3.0 * t) + 0.05 * rng.normal(size=120)
+    return Dataset(x=x, t=t, y=y, mode=CONTINUOUS)
+
+
+def records():
+    """Three epochs per case; batches of 16 leave some of the five
+    continuous heads without rows in a batch, and pair_deep_binary trains
+    a factual psi model first."""
+    from paireffect.losses import LossConfig
+    from paireffect.pairing import PairingConfig
+    from paireffect.training import TrainConfig, train
+
+    from conftest import binary_dataset
+
+    cases = {
+        "factual_shallow_binary": (binary_dataset(n=120, seed=1),
+                                   dict(loss="factual", arch="shallow")),
+        "pair_deep_binary": (binary_dataset(n=120, seed=1),
+                             dict(loss="pair", arch="deep", psi="factual")),
+        "pair_shallow_continuous": (_continuous_dataset(),
+                                    dict(loss="pair", arch="shallow",
+                                         batch_size=16)),
+        "factual_deep_continuous": (_continuous_dataset(),
+                                    dict(loss="factual", arch="deep",
+                                         batch_size=16)),
+    }
+    out = {}
+    for name, (ds, kw) in cases.items():
+        kw = {"psi": "identity", **kw}
+        cfg = TrainConfig(loss=LossConfig(kind=kw.pop("loss")),
+                          pairing=PairingConfig(num_neighbors=2), lr=1e-3,
+                          max_epochs=3, patience=3, seed=5, **kw)
+        _, rec = train(ds, cfg)
+        out[name] = {"model_hash": rec.model_hash,
+                     "pair_hashes": rec.pair_hashes,
+                     "val_losses": [repr(v) for v in rec.val_losses]}
+    return out
+
+
+def test_training_runs_match_recorded_fingerprints():
+    import paireffect
+
+    src = str(Path(paireffect.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, __file__], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    for name, expect in GOLDEN.items():
+        assert got[name] == expect, name
+
+
+if __name__ == "__main__":
+    print(json.dumps(records(), indent=1))

@@ -82,7 +82,7 @@ def test_head_isolation(small_model, rng):
     batch = random_pair_batch(rng, n=20)
     batch.t[:] = 1.0
     batch.tp[:] = 1.0
-    grads = nets.gradient(
+    _, grads = loss_and_gradient(
         small_model, batch, losses.FactualObjective(), RegConfig(l2_phi=0, l2_head=0)
     )
     for w, b in grads.blocks["head_0"]:
@@ -114,12 +114,76 @@ def test_adam_first_step_size():
 
 def test_adam_state_advances_deterministically(rng):
     params = ParamStore({"phi": [(rng.normal(size=(3, 3)), rng.normal(size=3))]})
-    grads = params.map(lambda a: np.ones_like(a))
+    grads = ParamStore({"phi": [(np.ones((3, 3)), np.ones(3))]})
     s1 = adam_init(params, lr=1e-3)
     s2 = adam_init(params, lr=1e-3)
-    p1, p2 = params, params
+    p1, p2 = params.copy(), params.copy()  # the update is in place
     for _ in range(5):
         p1, s1 = adam_step(p1, grads, s1)
         p2, s2 = adam_step(p2, grads, s2)
-    for q1, q2 in zip(p1.arrays(), p2.arrays()):
-        assert np.array_equal(q1, q2)
+    assert p1 is not p2
+    assert np.array_equal(p1.flat, p2.flat)
+    assert not np.array_equal(p1.flat, params.flat)
+
+
+def test_adam_step_matches_per_array_reference(rng):
+    # the arithmetic of the per-array update the in-place one replaced,
+    # operation for operation; the results must agree bit for bit
+    model = models.build_model(arch="shallow", input_dim=4, rng_seed=2)
+    params = model.params
+    state = adam_init(params, lr=1e-3)
+    ref = [a.copy() for a in params.arrays()]
+    m = [np.zeros_like(a) for a in ref]
+    v = [np.zeros_like(a) for a in ref]
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    for t in range(1, 4):
+        grads = params.zeros_like()
+        grads.flat[:] = rng.normal(size=grads.flat.size) * 10.0 ** rng.integers(-6, 3)
+        params, state = adam_step(params, grads, state)
+        for i, g in enumerate(grads.arrays()):
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g * g
+            mhat, vhat = m[i] / (1.0 - b1**t), v[i] / (1.0 - b2**t)
+            ref[i] = ref[i] - lr * mhat / (np.sqrt(vhat) + eps)
+    assert params is model.params and state.step == 3
+    for a, r in zip(params.arrays(), ref):
+        assert np.array_equal(a, r)
+
+
+def test_param_store_arrays_are_views_of_flat():
+    model = models.build_model(arch="deep", mode="continuous", input_dim=3,
+                               rng_seed=1)
+    params = model.params
+    assert params.flat.size == sum(a.size for a in params.arrays())
+    assert all(np.shares_memory(a, params.flat) for a in params.arrays())
+    params.flat[params.spans["head_4"].start] = 7.0
+    assert params.blocks["head_4"][0][0][0, 0] == 7.0
+    snap = params.copy()
+    params.flat += 1.0
+    assert snap.blocks["head_4"][0][0][0, 0] == 7.0
+    assert snap.to_json() != params.to_json()
+    assert snap.spans == params.spans
+
+
+def _elu_reference(z):
+    return np.where(z >= 0.0, z, np.expm1(z))
+
+
+def _elu_deriv_reference(z):
+    return np.where(z >= 0.0, 1.0, np.exp(z))
+
+
+def test_elu_matches_where_reference_bit_for_bit(rng):
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                        -1e-17, 1e-17, -745.2, -800.0, 700.0, 710.0])
+    # special values land both in vectorized bodies and in loop tails
+    z = rng.normal(scale=3.0, size=(100, 200))
+    z.flat[rng.choice(z.size, size=4 * special.size, replace=False)] = np.tile(
+        special, 4
+    )
+    with np.errstate(over="ignore"):
+        for arr in (special, z, z[:7, :3]):
+            for ours, ref in ((nets._apply_act(arr, nets.ELU), _elu_reference(arr)),
+                              (nets._act_deriv(arr, nets.ELU),
+                               _elu_deriv_reference(arr))):
+                assert np.array_equal(ours.view(np.int64), ref.view(np.int64))

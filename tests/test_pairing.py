@@ -5,7 +5,6 @@ from paireffect.datagen import BINARY, CONTINUOUS, Dataset
 from paireffect.pairing import (
     EmptyPairDataset,
     IdentityEmbedding,
-    NoEligibleNeighbor,
     PairingConfig,
     PhiEmbedding,
     RandomProjectionEmbedding,
@@ -76,7 +75,7 @@ def test_single_arm_dataset_has_no_neighbors():
         x=np.random.default_rng(0).normal(size=(10, 2)),
         t=np.ones(10), y=np.zeros(10), mode=BINARY,
     )
-    with pytest.raises((NoEligibleNeighbor, EmptyPairDataset)):
+    with pytest.raises(EmptyPairDataset):
         quick_pairs(ds, seed=0)
 
 
@@ -187,6 +186,32 @@ def test_diagnostics_report_distance_moments():
     assert set(diag["per_treatment_counts"]) == {0, 1}
 
 
+def diagnostics_reference(pairs):
+    """neighbor_diagnostics' per-anchor maxima as one np.mean per anchor,
+    over a mask of that anchor's pairs."""
+    means, means_sq = [], []
+    for a in np.unique(pairs.anchor_idx):
+        d = pairs.distance[pairs.anchor_idx == a]
+        means.append(float(np.mean(d)))
+        means_sq.append(float(np.mean(d**2)))
+    return max(means), max(means_sq)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 9, 17, 40])
+def test_diagnostics_match_per_anchor_reference_bit_for_bit(k):
+    ds = binary_dataset(n=90, seed=k)
+    pairs = quick_pairs(ds, seed=k, num_neighbors=k, delta_pair=0.3)
+    # trimming leaves anchors with differing pair counts; shuffling
+    # interleaves the anchors' pairs and reorders each anchor's own
+    shuffled = pairs.subset(np.random.default_rng(k).permutation(len(pairs)))
+    # spread the distances over magnitudes so summation order would show
+    scale = 10.0 ** np.random.default_rng(k + 1).uniform(-4, 4, len(pairs))
+    shuffled.distance = shuffled.distance * scale
+    for p in (pairs, shuffled):
+        diag = neighbor_diagnostics(p)
+        assert (diag["delta_hat"], diag["delta_hat_sq"]) == diagnostics_reference(p)
+
+
 def test_save_pairs_csv_round_readable(tmp_path):
     import csv
 
@@ -200,6 +225,10 @@ def test_save_pairs_csv_round_readable(tmp_path):
 
 # ---------------------------------------------------------------------------
 # Exact reference and pinned random streams
+
+
+class NoEligibleNeighbor(LookupError):
+    """The reference found no candidate for the anchor."""
 
 
 def neighbor_distribution(anchor_x, anchor_t, candidates, provider, lam,

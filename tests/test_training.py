@@ -125,6 +125,23 @@ def test_early_stopping_restores_best_snapshot():
     assert rec.best_val <= min(rec.val_losses) + 1e-15
 
 
+def test_nan_validation_loss_raises_naming_the_epoch(monkeypatch):
+    from paireffect import losses
+    from paireffect.nets import NonFiniteValue
+
+    real = losses.objective_value
+    calls = []
+
+    def nan_from_epoch_3(model, batch, objective):
+        calls.append(1)
+        return real(model, batch, objective) if len(calls) < 3 else float("nan")
+
+    monkeypatch.setattr(losses, "objective_value", nan_from_epoch_3)
+    ds = binary_dataset(n=120, seed=6)
+    with pytest.raises(NonFiniteValue, match="epoch 3"):
+        train(ds, fast_config(max_epochs=20, patience=5))
+
+
 def test_pair_binary_requires_binary_outcomes():
     ds = binary_dataset(n=60, seed=7)  # real-valued y
     with pytest.raises(ValueError):
