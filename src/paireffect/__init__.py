@@ -33,7 +33,6 @@ from .losses import (
     pair_loss_decomposition,
 )
 from .metrics import (
-    EvalReport,
     mmd_rbf,
     paired_t_test_one_sided,
     pearson_corr,
@@ -45,9 +44,7 @@ from .models import (
     TwoHeadedNetwork,
     build_model,
     load_model,
-    predict_ite,
     predict_ites,
-    predict_outcome,
     predict_outcomes,
     save_model,
     three_way_logits,
@@ -83,7 +80,6 @@ __all__ = [
     "CONTINUOUS",
     "Dataset",
     "EmptyPairDataset",
-    "EvalReport",
     "FiniteScene",
     "GPToyConfig",
     "IdentityEmbedding",
@@ -127,9 +123,7 @@ __all__ = [
     "pair_loss_decomposition",
     "pearson_corr",
     "pehe",
-    "predict_ite",
     "predict_ites",
-    "predict_outcome",
     "predict_outcomes",
     "random_scene",
     "run_experiment",

@@ -31,9 +31,8 @@ from .datagen import (
     save_csv,
 )
 from .experiments import gp_correlation_toy, mmd_shift_toy, run_experiment
-from .losses import KINDS, LossConfig
+from .losses import KINDS
 from .models import load_model, save_model
-from .nets import RegConfig
 from .pairing import (
     IdentityEmbedding,
     PairingConfig,
@@ -127,29 +126,19 @@ def _cmd_pairs(args) -> int:
 
 
 def _train_config_from_args(args) -> TrainConfig:
-    extra = {}
+    doc = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            extra = json.load(fh)
-    pairing_kwargs = dict(extra.get("pairing", {}))
-    pairing_kwargs.update({
+            doc = json.load(fh)
+    doc["pairing"] = {
+        **doc.get("pairing", {}),
         "temperature": getattr(args, "lambda"),
         "delta_pair": args.delta_pair,
         "num_neighbors": args.num_neighbors,
-    })
-    return TrainConfig(
-        loss=LossConfig(kind=args.loss, alpha=args.alpha),
-        pairing=PairingConfig(**pairing_kwargs),
-        reg=RegConfig(**extra.get("reg", {})),
-        lr=float(extra.get("lr", 1e-4)),
-        batch_size=int(extra.get("batch_size", 100)),
-        max_epochs=int(extra.get("max_epochs", 1000)),
-        patience=int(extra.get("patience", 10)),
-        val_fraction=float(extra.get("val_fraction", 0.3)),
-        arch=args.arch,
-        psi=args.psi,
-        seed=args.seed,
-    )
+    }
+    doc.update(loss={"kind": args.loss, "alpha": args.alpha}, arch=args.arch,
+               psi=args.psi, seed=args.seed)
+    return TrainConfig.from_dict(doc)
 
 
 def _cmd_train(args) -> int:

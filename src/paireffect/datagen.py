@@ -432,7 +432,6 @@ def gen_continuous_response(covariates, family, dosage_bias=2.0,
         return bad
 
     bad = degenerate(proj)
-    resampled = 0
     overrides: dict[int, list[float]] = {}
     good_rows = np.flatnonzero(~bad)
     if len(good_rows) == 0 and np.any(bad):
@@ -444,7 +443,6 @@ def gen_continuous_response(covariates, family, dosage_bias=2.0,
             if not degenerate(cand[None, :])[0]:
                 proj[i] = cand
                 overrides[int(i)] = [float(c) for c in cand]
-                resampled += 1
                 break
         else:
             raise DegenerateRow(f"row {i} could not be resampled")
@@ -471,26 +469,12 @@ def gen_continuous_response(covariates, family, dosage_bias=2.0,
         "family": family,
         "dosage_bias": dosage_bias,
         "noise_scale": noise_scale,
+        "noise_sd": float(noise_scale * base_sd),
         "v": v.tolist(),
         "overrides": {str(k): val for k, val in overrides.items()},
     }
-
-    def oracle_fn(ids, xs, tv, _v=v.copy(), _ov=dict(overrides), _family=family):
-        p = xs @ _v.T
-        for row, vals in _ov.items():
-            hit = np.flatnonzero(ids == row)
-            p[hit] = vals
-        if _family == NEWS:
-            return _news_response(p[:, 0], p[:, 1], p[:, 2], tv)
-        return _tcga_response(_family, p[:, 0], p[:, 1], p[:, 2], tv)
-
-    oracle = Oracle(
-        fn=oracle_fn,
-        noise_sd=noise_scale * base_sd,
-        descriptor=descriptor,
-        resampled_rows=resampled,
-    )
-    return Dataset(x=x, t=t, y=y, mode=CONTINUOUS, oracle=oracle)
+    return Dataset(x=x, t=t, y=y, mode=CONTINUOUS,
+                   oracle=_oracle_from_descriptor(descriptor))
 
 
 def _gen_ihdp_cont(x, noise_scale, rng):
@@ -521,15 +505,10 @@ def _gen_ihdp_cont(x, noise_scale, rng):
     base_sd = 0.5
     y = _ihdp_response(x, t, c1) + rng.normal(0.0, noise_scale * base_sd, size=n)
 
-    def oracle_fn(ids, xs, tv, _c1=c1):
-        return _ihdp_response(xs, tv, _c1)
-
-    descriptor = {"family": IHDP_CONT, "noise_scale": noise_scale, "c1": c1, "c2": c2}
-    return Dataset(
-        x=x, t=t, y=y, mode=CONTINUOUS,
-        oracle=Oracle(fn=oracle_fn, noise_sd=noise_scale * base_sd,
-                      descriptor=descriptor),
-    )
+    descriptor = {"family": IHDP_CONT, "noise_scale": noise_scale,
+                  "noise_sd": noise_scale * base_sd, "c1": c1, "c2": c2}
+    return Dataset(x=x, t=t, y=y, mode=CONTINUOUS,
+                   oracle=_oracle_from_descriptor(descriptor))
 
 
 # ---------------------------------------------------------------------------
@@ -640,14 +619,17 @@ def load_csv(path, mode=BINARY) -> Dataset:
 
 
 def _oracle_from_descriptor(desc) -> Oracle:
+    """The continuous-family oracle a generator's descriptor records; a
+    descriptor saved without noise_sd gives noise_sd 0."""
     family = desc["family"]
+    noise_sd = desc.get("noise_sd", 0.0)
     if family == IHDP_CONT:
         c1 = desc["c1"]
 
         def fn(ids, xs, tv, _c1=c1):
             return _ihdp_response(xs, tv, _c1)
 
-        return Oracle(fn=fn, descriptor=desc)
+        return Oracle(fn=fn, noise_sd=noise_sd, descriptor=desc)
     v = np.array(desc["v"], dtype=float)
     overrides = {int(k): val for k, val in desc.get("overrides", {}).items()}
 
@@ -660,4 +642,5 @@ def _oracle_from_descriptor(desc) -> Oracle:
             return _news_response(p[:, 0], p[:, 1], p[:, 2], tv)
         return _tcga_response(_family, p[:, 0], p[:, 1], p[:, 2], tv)
 
-    return Oracle(fn=fn, descriptor=desc)
+    return Oracle(fn=fn, noise_sd=noise_sd, descriptor=desc,
+                  resampled_rows=len(overrides))

@@ -15,6 +15,7 @@ import io
 import itertools
 import json
 import os
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -29,14 +30,13 @@ from .datagen import (
     ite_risk_quadrature,
     load_csv,
 )
-from .losses import FACTUAL, KINDS, PAIR_BINARY, LossConfig
+from .losses import FACTUAL, KINDS, PAIR_BINARY
 from .metrics import median_heuristic, mmd_rbf, pearson_corr
-from .models import DEEP
-from .nets import RegConfig
 from .pairing import IdentityEmbedding, PairingConfig, create_pair_ds, derive_seed
-from .training import PSI_FACTUAL, TrainConfig, compare_methods, evaluate_pehe, train
+from .training import TrainConfig, compare_methods, evaluate_pehe, train
 
-_GRID_KEYS = ("temperature", "delta_pair", "num_neighbors", "alpha", "psi")
+_PAIRING_GRID_KEYS = ("temperature", "delta_pair", "num_neighbors")
+_GRID_KEYS = (*_PAIRING_GRID_KEYS, "alpha", "psi")
 
 
 # ---------------------------------------------------------------------------
@@ -106,23 +106,19 @@ def mmd_shift_toy(n_per_side=2000, u=-1.0, s=2.0, num_neighbors=1,
         temperature=temperature,
         delta_pair=delta_pair,
     )
-    pairs = create_pair_ds(
-        ds, ds, cfg, IdentityEmbedding(1), derive_seed(seed, "mmd-pairs")
-    )
     sigma = median_heuristic(ds.x)
+    weighted, per_arm, n_pairs = _pair_shift_mmd(
+        ds, cfg, derive_seed(seed, "mmd-pairs"), sigma
+    )
     out = {
         "mmd_p0_p1": mmd_rbf(ds.x[ds.t == 0], ds.x[ds.t == 1], bandwidth=sigma),
         "bandwidth": sigma,
-        "n_pairs": len(pairs),
+        "n_pairs": n_pairs,
         "n_per_side": int(n_per_side),
+        "mmd_p0_q0": per_arm[0],
+        "mmd_p1_q1": per_arm[1],
+        "mmd_p_q": weighted,
     }
-    weighted = 0.0
-    for g in (0, 1):
-        share = float(np.mean(ds.t == g))
-        m = mmd_rbf(ds.x[ds.t == g], pairs.xp[pairs.t == g], bandwidth=sigma)
-        out[f"mmd_p{g}_q{g}"] = m
-        weighted += share * m
-    out["mmd_p_q"] = weighted
     out["ratio"] = out["mmd_p0_p1"] / weighted if weighted > 0 else float("inf")
     return out
 
@@ -172,24 +168,18 @@ def _dataset_from_descriptor(descriptor, data_seed):
 
 
 def _cell_config(method, cell, overrides, cell_seed) -> TrainConfig:
-    pairing_kwargs = dict(overrides.get("pairing", {}))
-    for key in ("temperature", "delta_pair", "num_neighbors"):
-        if key in cell:
-            pairing_kwargs[key] = cell[key]
-    alpha = float(cell.get("alpha", overrides.get("alpha", 2.0)))
-    return TrainConfig(
-        loss=LossConfig(kind=method, alpha=alpha),
-        pairing=PairingConfig(**pairing_kwargs),
-        reg=RegConfig(**overrides.get("reg", {})),
-        lr=float(overrides.get("lr", 1e-4)),
-        batch_size=int(overrides.get("batch_size", 100)),
-        max_epochs=int(overrides.get("max_epochs", 1000)),
-        patience=int(overrides.get("patience", 10)),
-        val_fraction=float(overrides.get("val_fraction", 0.3)),
-        arch=overrides.get("arch", DEEP),
-        psi=cell.get("psi", overrides.get("psi", PSI_FACTUAL)),
-        seed=cell_seed,
-    )
+    doc = dict(overrides)
+    default_alpha = doc.pop("alpha", 2.0)
+    doc["pairing"] = {
+        **doc.get("pairing", {}),
+        **{key: cell[key] for key in _PAIRING_GRID_KEYS if key in cell},
+    }
+    doc.update(loss={"kind": method,
+                     "alpha": float(cell.get("alpha", default_alpha))},
+               seed=cell_seed)
+    if "psi" in cell:
+        doc["psi"] = cell["psi"]
+    return TrainConfig.from_dict(doc)
 
 
 def _write_atomic(path, text) -> None:
@@ -206,21 +196,20 @@ def _write_atomic(path, text) -> None:
         raise
 
 
-def _pair_shift_mmd(ds, pairing_kwargs, seed):
-    """Weighted MMD(p_t, q_t) for a dataset under a pairing config, using
-    the raw-covariate embedding (a data diagnostic, not the learned one)."""
-    pairs = create_pair_ds(
-        ds, ds, PairingConfig(**pairing_kwargs), IdentityEmbedding(ds.dim),
-        derive_seed(seed, "diag-pairs"),
-    )
-    sigma = median_heuristic(ds.x)
-    total = 0.0
+def _pair_shift_mmd(ds, pairing: PairingConfig, seed, sigma):
+    """Arm-share-weighted mean of MMD(p_t, q_t), q_t the covariates of the
+    neighbors drawn for arm-t anchors under `pairing` with the raw-covariate
+    embedding (a data diagnostic, not the learned one), and bandwidth sigma.
+    Returns (weighted, [MMD(p_0, q_0), MMD(p_1, q_1)], number of pairs)."""
+    pairs = create_pair_ds(ds, ds, pairing, IdentityEmbedding(ds.dim), seed)
+    per_arm = [
+        mmd_rbf(ds.x[ds.t == g], pairs.xp[pairs.t == g], bandwidth=sigma)
+        for g in (0, 1)
+    ]
+    weighted = 0.0
     for g in (0, 1):
-        share = float(np.mean(ds.t == g))
-        total += share * mmd_rbf(
-            ds.x[ds.t == g], pairs.xp[pairs.t == g], bandwidth=sigma
-        )
-    return total
+        weighted += float(np.mean(ds.t == g)) * per_arm[g]
+    return weighted, per_arm, len(pairs)
 
 
 def run_experiment(descriptor, out_dir) -> dict:
@@ -246,6 +235,9 @@ def run_experiment(descriptor, out_dir) -> dict:
     unknown = set(grid) - set(_GRID_KEYS)
     if unknown:
         raise ValueError(f"unknown grid keys {sorted(unknown)}")
+    unknown = set(overrides) - {f.name for f in fields(TrainConfig)} - {"alpha"}
+    if unknown:
+        raise ValueError(f"unknown train keys {sorted(unknown)}")
     axes = [k for k in _GRID_KEYS if k in grid]
     combos = list(itertools.product(*(grid[k] for k in axes))) or [()]
 
@@ -286,12 +278,14 @@ def run_experiment(descriptor, out_dir) -> dict:
                     row["epochs"] = record.stop_epoch
                     if method != FACTUAL and train_ds.mode == BINARY:
                         key = (int(seed), tuple(sorted(
-                            asdict_pairing(config.pairing).items())))
+                            asdict(config.pairing).items())))
                         if key not in mmd_cache:
                             mmd_cache[key] = _pair_shift_mmd(
-                                train_ds, asdict_pairing(config.pairing),
-                                derive_seed(global_seed, "diag", seed),
-                            )
+                                train_ds, config.pairing,
+                                derive_seed(derive_seed(global_seed, "diag",
+                                                        seed), "diag-pairs"),
+                                sigma,
+                            )[0]
                         row["mmd_p_q"] = mmd_cache[key]
                 except Exception as exc:  # noqa: BLE001 - cell isolation
                     failures.append({
@@ -350,12 +344,3 @@ def run_experiment(descriptor, out_dir) -> dict:
         os.path.join(out_dir, "summary.json"), json.dumps(summary, indent=2)
     )
     return summary
-
-
-def asdict_pairing(config: PairingConfig) -> dict:
-    return {
-        "delta_pair": config.delta_pair,
-        "num_neighbors": config.num_neighbors,
-        "temperature": config.temperature,
-        "continuous_halfwidth": config.continuous_halfwidth,
-    }

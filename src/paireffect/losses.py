@@ -182,16 +182,8 @@ def factual_loss(model, batch) -> float:
     return objective_value(model, batch, FactualObjective())
 
 
-def pair_loss(model, batch, alpha=2.0, weights=None) -> float:
-    if weights is None:
-        return objective_value(model, batch, PairObjective(alpha))
-    yhat = models.predict_outcomes(model, batch.x, batch.t)
-    yhatp = models.predict_outcomes(model, batch.xp, batch.tp)
-    r = batch.y - yhat
-    rp = batch.yp - yhatp
-    terms = r**2 + rp**2 - alpha * r * rp
-    w = np.asarray(weights, dtype=float)
-    return float(np.sum(w * terms) / np.sum(w))
+def pair_loss(model, batch, alpha=2.0) -> float:
+    return objective_value(model, batch, PairObjective(alpha))
 
 
 def pair_loss_decomposition(y, y_prime, yhat, yhat_prime):

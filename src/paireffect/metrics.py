@@ -7,10 +7,7 @@ package needs no statistics dependency.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -193,36 +190,3 @@ def paired_t_test_one_sided(reference, other) -> dict:
     else:
         t = mean / (sd / math.sqrt(n))
     return {"t": float(t), "p": 1.0 - t_cdf(t, n - 1), "n": n}
-
-
-# ---------------------------------------------------------------------------
-# Reports
-
-
-@dataclass
-class EvalReport:
-    pehe_in: float
-    pehe_out: float
-    diagnostics: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.pehe_in < 0 or self.pehe_out < 0:
-            raise ValueError("pehe values must be non-negative")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "pehe_in": self.pehe_in,
-            "pehe_out": self.pehe_out,
-            "diagnostics": self.diagnostics,
-            "metadata": self.metadata,
-        })
-
-
-def write_comparison_csv(rows, path) -> None:
-    """rows: iterables of (method, seed, pehe_in, pehe_out)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "seed", "pehe_in", "pehe_out"])
-        for method, seed, p_in, p_out in rows:
-            writer.writerow([method, int(seed), repr(float(p_in)), repr(float(p_out))])

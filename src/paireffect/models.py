@@ -117,15 +117,6 @@ def predict_outcomes(model, x, t) -> np.ndarray:
     return nets.network_outputs(model, x, heads, extras)
 
 
-def predict_outcome(model, x, t) -> float:
-    return float(predict_outcomes(model, np.asarray(x)[None, :], [t])[0])
-
-
-def predict_ite(model, x, t, t_prime) -> float:
-    """Predicted effect of switching treatment t' -> t for one covariate row."""
-    return predict_outcome(model, x, t) - predict_outcome(model, x, t_prime)
-
-
 def predict_ites(model, x, t, t_prime) -> np.ndarray:
     return predict_outcomes(model, x, t) - predict_outcomes(model, x, t_prime)
 

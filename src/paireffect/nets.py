@@ -118,13 +118,6 @@ class ParamStore:
     def zeros_like(self) -> "ParamStore":
         return self._with_flat(np.zeros_like(self.flat))
 
-    def arrays(self):
-        """Yield every parameter array (weights and biases), in a fixed order."""
-        for name in sorted(self.blocks):
-            for w, b in self.blocks[name]:
-                yield w
-                yield b
-
     def check_finite(self) -> None:
         if np.isfinite(self.flat).all():
             return

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -297,12 +297,7 @@ def create_pair_ds(anchors: Dataset, candidates: Dataset,
             "seed": int(rng_seed),
             "skipped_anchors": skipped,
             "pre_trim_size": int(len(rows_a)),
-            "config": {
-                "delta_pair": config.delta_pair,
-                "num_neighbors": config.num_neighbors,
-                "temperature": config.temperature,
-                "continuous_halfwidth": config.continuous_halfwidth,
-            },
+            "config": asdict(config),
         },
     )
     return pairs

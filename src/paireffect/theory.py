@@ -15,7 +15,6 @@ marginal gap weighs the opposite arm's squared residual.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -374,14 +373,3 @@ def consistency_sweep(sizes=(100, 400, 1600, 6400), overlap=STRICT, c=0.1,
             row["pehe"] = training.evaluate_pehe(model, ds)
         rows.append(row)
     return rows
-
-
-def sweep_to_csv(rows, path) -> None:
-    if not rows:
-        raise ValueError("empty sweep")
-    cols = list(rows[0].keys())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([row[c] for c in cols])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -39,6 +39,10 @@ PSI_IDENTITY = "identity"
 PSI_RANDOM = "random_projection"
 PSI_FACTUAL = "factual"
 _PSI_KINDS = (PSI_IDENTITY, PSI_RANDOM, PSI_FACTUAL)
+
+
+_COERCE = {"lr": float, "batch_size": int, "max_epochs": int, "patience": int,
+           "val_fraction": float}
 
 
 @dataclass
@@ -72,6 +76,24 @@ class TrainConfig:
         if self.psi not in _PSI_KINDS:
             raise ValueError(f"unknown psi kind {self.psi!r}")
 
+    @classmethod
+    def from_dict(cls, doc) -> "TrainConfig":
+        """Build a config from JSON-style values: `loss`, `pairing` and `reg`
+        are dicts of their configs' fields, lr, batch_size, max_epochs,
+        patience and val_fraction are coerced to their types, and every
+        other value passes through as given, so config_hash still tells a
+        temperature of 5 from 5.0.  Unknown keys raise ValueError."""
+        unknown = set(doc) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown train config keys {sorted(unknown)}")
+        kwargs = {key: _COERCE[key](value) if key in _COERCE else value
+                  for key, value in doc.items()}
+        for key, sub in (("loss", LossConfig), ("pairing", PairingConfig),
+                         ("reg", RegConfig)):
+            if key in kwargs:
+                kwargs[key] = sub(**kwargs[key])
+        return cls(**kwargs)
+
     def config_hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -104,17 +126,7 @@ class RunRecord:
             raise ValueError("per-epoch loss lists disagree in length")
 
     def to_json(self) -> str:
-        return json.dumps({
-            "config_hash": self.config_hash,
-            "train_losses": self.train_losses,
-            "val_losses": self.val_losses,
-            "stop_epoch": self.stop_epoch,
-            "best_epoch": self.best_epoch,
-            "best_val": self.best_val,
-            "pair_hashes": self.pair_hashes,
-            "model_hash": self.model_hash,
-            "notes": self.notes,
-        })
+        return json.dumps(asdict(self))
 
 
 def _params_hash(model) -> str:
@@ -131,19 +143,8 @@ def _embedding_provider(config: TrainConfig, ds: Dataset):
             ds.dim, ds.dim, seed=derive_seed(config.seed, "proj")
         )
         return proj, None
-    inner = TrainConfig(
-        loss=LossConfig(kind=losses.FACTUAL),
-        pairing=config.pairing,
-        reg=config.reg,
-        lr=config.lr,
-        batch_size=config.batch_size,
-        max_epochs=config.max_epochs,
-        patience=config.patience,
-        val_fraction=config.val_fraction,
-        arch=config.arch,
-        psi=PSI_IDENTITY,
-        seed=derive_seed(config.seed, "psi"),
-    )
+    inner = replace(config, loss=LossConfig(kind=losses.FACTUAL),
+                    psi=PSI_IDENTITY, seed=derive_seed(config.seed, "psi"))
     psi_model, psi_record = train(ds, inner)
     return PhiEmbedding(psi_model), psi_record
 

@@ -113,6 +113,18 @@ def test_train_with_malformed_config_file(tmp_path, capsys):
     assert doc["error"] == "JSONDecodeError"
 
 
+def test_train_rejects_unknown_config_keys(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    assert main(["gen", "polynomial", "--n", "40", "--out", str(data)]) == 0
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"max_epoch": 5}))
+    capsys.readouterr()
+    rc, doc = run_cli(capsys, "train", "--data", str(data),
+                      "--config", str(config))
+    assert rc == 1
+    assert doc["error"] == "ValueError" and "max_epoch" in doc["message"]
+
+
 def test_missing_data_file_is_runtime_error(tmp_path, capsys):
     rc, doc = run_cli(capsys, "train", "--data", str(tmp_path / "nope.csv"))
     assert rc == 1

@@ -173,17 +173,36 @@ def test_csv_round_trip_binary_with_oracle(tmp_path):
 
 
 def test_csv_round_trip_continuous_sidecar(tmp_path):
-    rng = np.random.default_rng(9)
-    ds = gen_continuous_response(rng.standard_normal((30, 25)), "ihdp_cont",
-                                 dosage_bias=2.0, noise_scale=1.0,
-                                 rng=np.random.default_rng(10))
-    path = tmp_path / "c.csv"
-    save_csv(ds, path)
-    sidecar = json.load(open(str(path) + ".oracle.json"))
-    assert sidecar["family"] == "ihdp_cont"
-    back = load_csv(path, CONTINUOUS)
-    assert np.allclose(back.x, ds.x)
-    assert np.allclose(back.true_mu(0.3), ds.true_mu(0.3))
+    # n = 400 makes tcga0 and tcga1 resample projections for some rows
+    x = np.random.default_rng(9).standard_normal((400, 25))
+    doses = np.random.default_rng(11).uniform(size=400)
+    rows = np.arange(0, 400, 3)
+    for family in FAMILIES:
+        ds = gen_continuous_response(x, family, dosage_bias=2.0,
+                                     noise_scale=1.0,
+                                     rng=np.random.default_rng(10))
+        assert (ds.oracle.resampled_rows > 0) == (family in ("tcga0", "tcga1"))
+        path = tmp_path / f"{family}.csv"
+        save_csv(ds, path)
+        sidecar_path = str(path) + ".oracle.json"
+        with open(sidecar_path) as fh:
+            sidecar = json.load(fh)
+        assert sidecar["family"] == family
+        back = load_csv(path, CONTINUOUS)
+        assert np.array_equal(back.x, ds.x)
+        assert back.oracle.noise_sd == ds.oracle.noise_sd > 0.0
+        assert back.oracle.resampled_rows == ds.oracle.resampled_rows
+        for t in (ds.t, 0.3, doses):
+            assert np.array_equal(back.true_mu(t), ds.true_mu(t))
+        assert np.array_equal(back.subset(rows).true_mu(0.7),
+                              ds.subset(rows).true_mu(0.7))
+        # a sidecar written without noise_sd still loads
+        del sidecar["noise_sd"]
+        with open(sidecar_path, "w") as fh:
+            json.dump(sidecar, fh)
+        old = load_csv(path, CONTINUOUS)
+        assert old.oracle.noise_sd == 0.0
+        assert np.array_equal(old.true_mu(doses), ds.true_mu(doses))
 
 
 def test_split_stratified_preserves_arm_shares():

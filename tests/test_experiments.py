@@ -142,6 +142,13 @@ def test_run_experiment_rejects_bad_descriptors(tmp_path):
         run_experiment(no_source, str(tmp_path))
 
 
+def test_run_experiment_rejects_unknown_train_keys_before_any_cell(tmp_path):
+    desc = tiny_descriptor(train={**BASE_TRAIN, "max_epoch": 5})
+    with pytest.raises(ValueError, match="max_epoch"):
+        run_experiment(desc, str(tmp_path))
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_run_experiment_csv_source(tmp_path):
     rng = np.random.default_rng(0)
     ds = gen_polynomial_synth(60, rng)

@@ -108,3 +108,51 @@ def test_training_runs_match_recorded_fingerprints():
 
 if __name__ == "__main__":
     print(json.dumps(records(), indent=1))
+
+
+# config_hash of configs built from CLI flags, a --config file and descriptor
+# cells, recorded when each caller built TrainConfig field by field.  The
+# hash serializes the values as given, so a grid's 5 and 5.0 differ.
+CONFIG_HASHES = {
+    "cli_defaults": "0d233d9ec9f1e3c7",
+    "cli_config_file": "6ca16f971c07f7f9",
+    "cell_int_grid": "e9eee9cb09ff3994",
+    "cell_float_grid": "1d083947be2809d9",
+}
+
+_TRAIN_BLOCK = {"lr": 0.001, "max_epochs": 5, "arch": "shallow", "alpha": 1,
+                "pairing": {"temperature": 1, "continuous_halfwidth": 0.2},
+                "reg": {"l2_head": 0}}
+
+
+def config_hashes(tmp_dir):
+    from paireffect import cli, experiments
+
+    parser = cli._build_parser()
+    cfg = Path(tmp_dir) / "train.json"
+    cfg.write_text(json.dumps({
+        "lr": 1, "batch_size": 50.0, "max_epochs": 7, "patience": 3,
+        "val_fraction": 0.25, "reg": {"l2_phi": 1},
+        "pairing": {"continuous_halfwidth": 0.1},
+    }))
+    flags = ["train", "--data", "d.csv"]
+    configs = {
+        "cli_defaults": cli._train_config_from_args(parser.parse_args(flags)),
+        "cli_config_file": cli._train_config_from_args(parser.parse_args(
+            flags + ["--config", str(cfg), "--loss", "pair_alpha",
+                     "--alpha", "1", "--lambda", "5", "--num-neighbors", "2",
+                     "--psi", "identity", "--arch", "shallow", "--seed", "9"])),
+        "cell_int_grid": experiments._cell_config(
+            "pair_alpha", {"temperature": 5, "delta_pair": 0,
+                           "num_neighbors": 2, "psi": "identity"},
+            _TRAIN_BLOCK, 123),
+        "cell_float_grid": experiments._cell_config(
+            "pair_alpha", {"temperature": 5.0, "delta_pair": 0.0,
+                           "num_neighbors": 2, "psi": "identity"},
+            _TRAIN_BLOCK, 123),
+    }
+    return {name: c.config_hash() for name, c in configs.items()}
+
+
+def test_config_hashes_match_recorded_values(tmp_path):
+    assert config_hashes(tmp_path) == CONFIG_HASHES

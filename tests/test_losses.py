@@ -68,15 +68,6 @@ def test_pair_loss_alpha_zero_drops_alignment(small_model, rng):
     )
 
 
-def test_pair_loss_weights_average(small_model, rng):
-    batch = random_pair_batch(rng, n=10)
-    w = rng.uniform(0.5, 2.0, size=10)
-    uniform = pair_loss(small_model, batch, weights=np.ones(10))
-    assert uniform == pytest.approx(pair_loss(small_model, batch), rel=1e-12)
-    weighted = pair_loss(small_model, batch, weights=w)
-    assert weighted != pytest.approx(uniform)
-
-
 def test_matching_loss_targets_neighbor_outcome(small_model, rng):
     # anchor predicted under the neighbor's arm, regressed onto the
     # neighbor's observed outcome

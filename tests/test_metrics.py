@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from paireffect.metrics import (
-    EvalReport,
     incomplete_beta,
     median_heuristic,
     mmd_rbf,
@@ -153,12 +152,3 @@ def test_null_p_values_are_uniform():
     grid = np.sort(pvals)
     ks = np.max(np.abs(grid - (np.arange(1, 2001) / 2000.0)))
     assert ks < 1.628 / math.sqrt(2000.0)
-
-
-def test_eval_report_serializes(tmp_path):
-    rep = EvalReport(pehe_in=0.5, pehe_out=0.7,
-                     diagnostics={"mmd_p0_p1": 0.2}, metadata={"seed": 1})
-    doc = rep.to_json()
-    assert '"pehe_out": 0.7' in doc
-    with pytest.raises(ValueError):
-        EvalReport(pehe_in=-0.1, pehe_out=0.0, diagnostics={}, metadata={})

@@ -7,9 +7,7 @@ from paireffect.models import (
     build_model,
     head_routing,
     load_model,
-    predict_ite,
     predict_ites,
-    predict_outcome,
     predict_outcomes,
     save_model,
     three_way_logits,
@@ -65,13 +63,11 @@ def test_predictions_deterministic_and_head_dependent(rng):
 
 def test_predict_ite_is_outcome_difference(rng):
     model = build_model(arch="shallow", mode="binary", input_dim=3, rng_seed=2)
-    row = rng.normal(size=3)
-    ite = predict_ite(model, row, 1.0, 0.0)
-    assert ite == pytest.approx(
-        predict_outcome(model, row, 1.0) - predict_outcome(model, row, 0.0)
+    x = rng.normal(size=(6, 3))
+    assert np.array_equal(
+        predict_ites(model, x, 1.0, 0.0),
+        predict_outcomes(model, x, 1.0) - predict_outcomes(model, x, 0.0),
     )
-    ites = predict_ites(model, row[None, :], [1.0], [0.0])
-    assert ites[0] == pytest.approx(ite)
 
 
 def test_continuous_treatment_feeds_every_head_layer(rng):

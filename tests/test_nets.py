@@ -17,23 +17,25 @@ from paireffect.nets import (
 from conftest import random_pair_batch, tiny_network
 
 
+def _arrays(store):
+    """Every weight and bias array of a ParamStore, block by block."""
+    return [a for layers in store.blocks.values() for pair in layers
+            for a in pair]
+
+
 def test_init_is_seeded():
     a = models.build_model(arch="deep", input_dim=5, rng_seed=3)
     b = models.build_model(arch="deep", input_dim=5, rng_seed=3)
     c = models.build_model(arch="deep", input_dim=5, rng_seed=4)
-    for pa, pb in zip(a.params.arrays(), b.params.arrays()):
-        assert np.array_equal(pa, pb)
-    assert any(
-        not np.array_equal(pa, pc)
-        for pa, pc in zip(a.params.arrays(), c.params.arrays())
-    )
+    assert np.array_equal(a.params.flat, b.params.flat)
+    assert not np.array_equal(a.params.flat, c.params.flat)
 
 
 def test_param_store_round_trip():
     model = models.build_model(arch="shallow", input_dim=4, rng_seed=0)
     clone = ParamStore.from_json(model.params.to_json())
-    for p, p2 in zip(model.params.arrays(), clone.arrays()):
-        assert np.array_equal(p, p2)
+    assert np.array_equal(model.params.flat, clone.flat)
+    assert clone.to_json() == model.params.to_json()
 
 
 def test_param_store_check_finite():
@@ -50,7 +52,7 @@ def test_forward_rejects_bad_input_width(small_model):
 
 def test_l2_includes_biases(small_model):
     reg = RegConfig(l2_phi=1.0, l2_head=1.0)
-    total = sum(float(np.sum(p**2)) for p in small_model.params.arrays())
+    total = float(np.sum(small_model.params.flat**2))
     assert l2_penalty(small_model.params, reg) == pytest.approx(total)
 
 
@@ -132,7 +134,7 @@ def test_adam_step_matches_per_array_reference(rng):
     model = models.build_model(arch="shallow", input_dim=4, rng_seed=2)
     params = model.params
     state = adam_init(params, lr=1e-3)
-    ref = [a.copy() for a in params.arrays()]
+    ref = [a.copy() for a in _arrays(params)]
     m = [np.zeros_like(a) for a in ref]
     v = [np.zeros_like(a) for a in ref]
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
@@ -140,13 +142,13 @@ def test_adam_step_matches_per_array_reference(rng):
         grads = params.zeros_like()
         grads.flat[:] = rng.normal(size=grads.flat.size) * 10.0 ** rng.integers(-6, 3)
         params, state = adam_step(params, grads, state)
-        for i, g in enumerate(grads.arrays()):
+        for i, g in enumerate(_arrays(grads)):
             m[i] = b1 * m[i] + (1 - b1) * g
             v[i] = b2 * v[i] + (1 - b2) * g * g
             mhat, vhat = m[i] / (1.0 - b1**t), v[i] / (1.0 - b2**t)
             ref[i] = ref[i] - lr * mhat / (np.sqrt(vhat) + eps)
     assert params is model.params and state.step == 3
-    for a, r in zip(params.arrays(), ref):
+    for a, r in zip(_arrays(params), ref):
         assert np.array_equal(a, r)
 
 
@@ -154,8 +156,8 @@ def test_param_store_arrays_are_views_of_flat():
     model = models.build_model(arch="deep", mode="continuous", input_dim=3,
                                rng_seed=1)
     params = model.params
-    assert params.flat.size == sum(a.size for a in params.arrays())
-    assert all(np.shares_memory(a, params.flat) for a in params.arrays())
+    assert params.flat.size == sum(a.size for a in _arrays(params))
+    assert all(np.shares_memory(a, params.flat) for a in _arrays(params))
     params.flat[params.spans["head_4"].start] = 7.0
     assert params.blocks["head_4"][0][0][0, 0] == 7.0
     snap = params.copy()

@@ -35,6 +35,11 @@ def fast_config(**kw):
     return TrainConfig(**base)
 
 
+def test_from_dict_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="max_epoch"):
+        TrainConfig.from_dict({"max_epoch": 5, "lr": 1e-3})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(max_epochs=-1)
@@ -225,7 +230,7 @@ def test_l2_regularization_shrinks_weights():
                             reg=RegConfig(l2_phi=50.0, l2_head=50.0))
     loose, _ = train(ds, loose_cfg)
     tight, _ = train(ds, tight_cfg)
-    norm = lambda m: sum(float(np.sum(p**2)) for p in m.params.arrays())
+    norm = lambda m: float(np.sum(m.params.flat**2))
     assert norm(tight) < norm(loose)
 
 
