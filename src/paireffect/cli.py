@@ -130,6 +130,14 @@ def _train_config_from_args(args) -> TrainConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
+    flag_of = {"seed": "--seed", "loss": "--loss/--alpha", "arch": "--arch",
+               "psi": "--psi", "pairing.temperature": "--lambda",
+               "pairing.delta_pair": "--delta-pair",
+               "pairing.num_neighbors": "--num-neighbors"}
+    given = {*doc, *(f"pairing.{key}" for key in doc.get("pairing", {}))}
+    owned = [f"{key} ({flag_of[key]})" for key in flag_of if key in given]
+    if owned:
+        raise CliError(f"--config sets keys a flag owns: {', '.join(owned)}")
     doc["pairing"] = {
         **doc.get("pairing", {}),
         "temperature": getattr(args, "lambda"),
@@ -142,8 +150,8 @@ def _train_config_from_args(args) -> TrainConfig:
 
 
 def _cmd_train(args) -> int:
-    ds = load_csv(args.data, args.mode)
     config = _train_config_from_args(args)
+    ds = load_csv(args.data, args.mode)
     model, record = train(ds, config)
     out = {
         "config_hash": record.config_hash,
@@ -340,7 +348,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--arch", choices=["deep", "shallow"], default="deep")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="JSON file with lr/batch_size/max_epochs/"
-                   "patience/val_fraction/reg/pairing overrides")
+                   "patience/val_fraction/reg/pairing.continuous_halfwidth")
     p.add_argument("--model-out")
     p.add_argument("--record-out")
     p.set_defaults(func=_cmd_train)

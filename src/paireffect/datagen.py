@@ -15,7 +15,7 @@ import hashlib
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,18 +143,18 @@ def sample_gp(xs, width, rng):
     return chol @ rng.standard_normal(chol.shape[0])
 
 
+# The effect length-scale is below the outcome's, i.e. the effect surface is
+# the rougher one; with a long effect length-scale the evaluation location
+# stops mattering and the losses' risk correlations collapse onto each
+# other.  Candidates are drawn with the same length-scales as the truth.
+GP_WIDTH_OUTCOME = 1.0      # length-scale of the base outcome
+GP_WIDTH_EFFECT = 0.5       # length-scale of the effect
+GP_BASE_MEAN = -1.0         # covariate mean of the control group
+
+
 @dataclass
 class GPToyConfig:
-    # Default effect length-scale is below the outcome's, i.e. the effect
-    # surface is the rougher one; with a long effect length-scale the
-    # evaluation location stops mattering and the losses' risk correlations
-    # collapse onto each other.
-    width_outcome: float = 1.0      # length-scale of the true base outcome
-    width_effect: float = 0.5       # length-scale of the true effect
-    cand_width_outcome: float = 1.0
-    cand_width_effect: float = 0.5
     shift: float = 1.5              # confounding shift between group means
-    base_mean: float = -1.0
     # Unbalanced arms: with a scarce treated arm the factual loss barely
     # weights the effect error, while every control anchor still pulls a
     # treated neighbour, so the loss variants separate cleanly.
@@ -165,10 +165,6 @@ class GPToyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for w in (self.width_outcome, self.width_effect,
-                  self.cand_width_outcome, self.cand_width_effect):
-            if w <= 0:
-                raise ValueError("kernel widths must be positive")
         if self.n0 < 1 or self.n1 < 1:
             raise ValueError("group counts must be >= 1")
 
@@ -187,10 +183,8 @@ class GPToy:
     def draw_candidate(self, rng):
         """A candidate (base outcome, effect) pair on the same grid."""
         if not hasattr(self, "_cand_factors"):
-            self._cand_factors = (
-                gp_factor(self.grid, self.config.cand_width_outcome),
-                gp_factor(self.grid, self.config.cand_width_effect),
-            )
+            self._cand_factors = (gp_factor(self.grid, GP_WIDTH_OUTCOME),
+                                  gp_factor(self.grid, GP_WIDTH_EFFECT))
         f_out, f_eff = self._cand_factors
         mu0_hat = f_out @ rng.standard_normal(len(self.grid))
         tau_hat = f_eff @ rng.standard_normal(len(self.grid))
@@ -219,23 +213,23 @@ def _normal_pdf(x, mean, sd):
 
 def gen_gp_toy(config: GPToyConfig) -> GPToy:
     rng = np.random.default_rng(config.seed)
-    lo = config.base_mean - 4.0
-    hi = config.base_mean + config.shift + 4.0
+    lo = GP_BASE_MEAN - 4.0
+    hi = GP_BASE_MEAN + config.shift + 4.0
     grid = np.linspace(lo, hi, config.grid_points)
-    mu0 = sample_gp(grid, config.width_outcome, rng)
-    tau = sample_gp(grid, config.width_effect, rng)
+    mu0 = sample_gp(grid, GP_WIDTH_OUTCOME, rng)
+    tau = sample_gp(grid, GP_WIDTH_EFFECT, rng)
 
-    x0 = rng.normal(config.base_mean, 1.0, size=config.n0)
-    x1 = rng.normal(config.base_mean + config.shift, 1.0, size=config.n1)
+    x0 = rng.normal(GP_BASE_MEAN, 1.0, size=config.n0)
+    x1 = rng.normal(GP_BASE_MEAN + config.shift, 1.0, size=config.n1)
     x = np.concatenate([x0, x1])
     t = np.concatenate([np.zeros(config.n0), np.ones(config.n1)])
     mu_obs = np.interp(x, grid, mu0) + t * np.interp(x, grid, tau)
     y = mu_obs + rng.normal(0.0, config.noise_sd, size=len(x))
 
     n = config.n0 + config.n1
-    weights = (config.n0 / n) * _normal_pdf(grid, config.base_mean, 1.0) + (
+    weights = (config.n0 / n) * _normal_pdf(grid, GP_BASE_MEAN, 1.0) + (
         config.n1 / n
-    ) * _normal_pdf(grid, config.base_mean + config.shift, 1.0)
+    ) * _normal_pdf(grid, GP_BASE_MEAN + config.shift, 1.0)
 
     def oracle_fn(ids, xs, tv, _grid=grid, _mu0=mu0.copy(), _tau=tau.copy()):
         base = np.interp(xs[:, 0], _grid, _mu0)
@@ -284,19 +278,19 @@ def _eval_poly(x, monomials, coeffs):
     return vals
 
 
-def gen_polynomial_synth(n, rng, relevant_dims=5, total_dims=10,
-                         propensity_strength=1.0, noise_sd=0.1) -> Dataset:
+def gen_polynomial_synth(n, rng, propensity_strength=1.0) -> Dataset:
     """Confounded polynomial benchmark.
 
-    Covariates are standard normal; the base outcome is a random degree-3
+    Covariates are 10 standard normals; the base outcome is a random degree-3
     polynomial and the effect a random degree-2 polynomial, both on the first
-    `relevant_dims` covariates and rescaled to unit sample deviation so the
-    0.1 outcome noise gives a signal-to-noise ratio near 10.  Treatment is
-    logistic in a random direction of the relevant covariates.
+    5 covariates and rescaled to unit sample deviation so the 0.1 outcome
+    noise gives a signal-to-noise ratio near 10.  Treatment is logistic in a
+    random direction of the relevant covariates.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = rng.standard_normal((n, total_dims))
+    relevant_dims, noise_sd = 5, 0.1
+    x = rng.standard_normal((n, 10))
     xr = x[:, :relevant_dims]
 
     mono3 = _monomials(relevant_dims, 3)

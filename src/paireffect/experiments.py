@@ -37,32 +37,40 @@ from .training import TrainConfig, compare_methods, evaluate_pehe, train
 
 _PAIRING_GRID_KEYS = ("temperature", "delta_pair", "num_neighbors")
 _GRID_KEYS = (*_PAIRING_GRID_KEYS, "alpha", "psi")
+_READ_KEYS = {
+    "descriptor": {"name", "generator", "csv", "methods", "seeds", "seed",
+                   "train", "grid"},
+    "polynomial generator": {"kind", "n", "n_test", "propensity_strength"},
+    "continuous generator": {"kind", "n", "n_test", "family", "dim",
+                             "dosage_bias", "noise_scale"},
+    "csv": {"path", "mode", "n_test"},
+    "grid": set(_GRID_KEYS),
+    "train": {f.name for f in fields(TrainConfig)} | {"alpha"},
+}
 
 
 # ---------------------------------------------------------------------------
 # Toy studies
 
 
-def gp_correlation_toy(config=None, n_draws=200, seed=0, pairing=None) -> dict:
+def gp_correlation_toy(config=None, n_draws=200, seed=0) -> dict:
     """Correlation of empirical losses with true effect-estimation risk.
 
     Draws candidate (base outcome, effect) function pairs and, for each,
     evaluates the factual loss, the pair loss, its no-alignment variant
     (alpha = 0), and the true risk by quadrature.  Pairs are built once
     from the toy's observational sample with an identity embedding.  The
-    default pairing runs a sharp softmax (temperature 5, inside the usual
+    pairing runs a sharp softmax (temperature 5, inside the usual
     sweep range): raw 1-D covariate distances are O(1) here, where
     temperature 1 leaves substantial probability on far candidates and the
     base-function increments those pairs pick up drown the effect-error
     signal this study is after.
     """
     config = config or GPToyConfig()
-    pairing = pairing or PairingConfig(temperature=5.0)
     toy = gen_gp_toy(config)
     ds = toy.dataset
-    pairs = create_pair_ds(
-        ds, ds, pairing, IdentityEmbedding(1), derive_seed(seed, "corr-pairs")
-    )
+    pairs = create_pair_ds(ds, ds, PairingConfig(temperature=5.0),
+                           IdentityEmbedding(1), derive_seed(seed, "corr-pairs"))
     rng = np.random.default_rng(derive_seed(seed, "corr-draws"))
     risks = np.empty(n_draws)
     fact = np.empty(n_draws)
@@ -87,25 +95,21 @@ def gp_correlation_toy(config=None, n_draws=200, seed=0, pairing=None) -> dict:
 
 
 def mmd_shift_toy(n_per_side=2000, u=-1.0, s=2.0, num_neighbors=1,
-                  temperature=20.0, delta_pair=0.1, seed=0) -> dict:
+                  seed=0) -> dict:
     """Arm-vs-arm MMD against anchor-vs-neighbor MMD on shifted Gaussians.
 
     mmd_p_q is the arm-share-weighted mean of MMD(p_t, q_t), where q_t is
     the covariate distribution of the neighbors sampled for arm-t anchors.
     One shared median-heuristic bandwidth (pooled covariates) keeps the two
-    divergences comparable.  The default selection sharpness sits between
-    uniform sampling (neighbors smeared over the whole opposite arm) and
-    hard nearest-neighbor (which stops improving with more data because it
-    never diversifies); in between, extra samples keep shrinking the
+    divergences comparable.  The selection sharpness (temperature 20) sits
+    between uniform sampling (neighbors smeared over the whole opposite arm)
+    and hard nearest-neighbor (which stops improving with more data because
+    it never diversifies); in between, extra samples keep shrinking the
     anchor-to-neighbor gap.
     """
     rng = np.random.default_rng(derive_seed(seed, "mmd-data"))
     ds = gen_gaussian_confounded(u, s, n_per_side, n_per_side, rng)
-    cfg = PairingConfig(
-        num_neighbors=num_neighbors,
-        temperature=temperature,
-        delta_pair=delta_pair,
-    )
+    cfg = PairingConfig(num_neighbors=num_neighbors, temperature=20.0)
     sigma = median_heuristic(ds.x)
     weighted, per_arm, n_pairs = _pair_shift_mmd(
         ds, cfg, derive_seed(seed, "mmd-pairs"), sigma
@@ -127,20 +131,38 @@ def mmd_shift_toy(n_per_side=2000, u=-1.0, s=2.0, num_neighbors=1,
 # Descriptor-driven experiments
 
 
+def _check_descriptor(descriptor) -> None:
+    """Reject, before any cell runs, keys that no part of the run reads."""
+    gen, spec = descriptor.get("generator"), descriptor.get("csv")
+    if (gen is None) == (not spec):
+        raise ValueError("descriptor needs exactly one of 'generator' and 'csv'")
+    source = "csv" if gen is None else f"{gen.get('kind')} generator"
+    if source not in _READ_KEYS:
+        raise ValueError(f"unknown generator kind {gen.get('kind')!r}")
+    train = descriptor.get("train", {})
+    if {"loss", "seed"} & set(train):
+        raise ValueError("train keys loss and seed are set per cell, from "
+                         "methods, alpha, seed and seeds")
+    for part, keys in (("descriptor", descriptor), (source, gen or spec),
+                       ("grid", descriptor.get("grid", {})), ("train", train)):
+        unknown = sorted(set(keys) - _READ_KEYS[part])
+        if unknown:
+            raise ValueError(f"unknown {part} keys {unknown}")
+
+
 def _dataset_from_descriptor(descriptor, data_seed):
     """Build (train, test) datasets sharing one oracle for a given seed."""
     gen = descriptor.get("generator")
     if gen is not None:
-        kind = gen.get("kind")
         rng = np.random.default_rng(data_seed)
         n = int(gen.get("n", 500))
         n_test = int(gen.get("n_test", n))
-        if kind == "polynomial":
+        if gen["kind"] == "polynomial":
             full = gen_polynomial_synth(
                 n + n_test, rng,
                 propensity_strength=float(gen.get("propensity_strength", 1.0)),
             )
-        elif kind == "continuous":
+        else:
             family = gen.get("family")
             if family not in FAMILIES:
                 raise ValueError(f"unknown continuous family {family!r}")
@@ -152,12 +174,8 @@ def _dataset_from_descriptor(descriptor, data_seed):
                 noise_scale=float(gen.get("noise_scale", 1.0)),
                 rng=rng,
             )
-        else:
-            raise ValueError(f"unknown generator kind {kind!r}")
         return full.subset(np.arange(n)), full.subset(np.arange(n, n + n_test))
-    spec = descriptor.get("csv")
-    if not spec:
-        raise ValueError("descriptor needs a 'generator' or 'csv' entry")
+    spec = descriptor["csv"]
     full = load_csv(spec["path"], spec.get("mode", BINARY))
     n_test = int(spec.get("n_test", 0))
     if not 0 < n_test < len(full):
@@ -229,15 +247,10 @@ def run_experiment(descriptor, out_dir) -> dict:
     seeds = descriptor.get("seeds")
     if not seeds:
         raise ValueError("descriptor lists no seeds")
+    _check_descriptor(descriptor)
     global_seed = int(descriptor.get("seed", 0))
     overrides = descriptor.get("train", {})
     grid = descriptor.get("grid", {})
-    unknown = set(grid) - set(_GRID_KEYS)
-    if unknown:
-        raise ValueError(f"unknown grid keys {sorted(unknown)}")
-    unknown = set(overrides) - {f.name for f in fields(TrainConfig)} - {"alpha"}
-    if unknown:
-        raise ValueError(f"unknown train keys {sorted(unknown)}")
     axes = [k for k in _GRID_KEYS if k in grid]
     combos = list(itertools.product(*(grid[k] for k in axes))) or [()]
 

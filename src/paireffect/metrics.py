@@ -29,12 +29,12 @@ def _sq_dists(a, b):
     return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
 
 
-def median_heuristic(pooled, cap=2000) -> float:
+def median_heuristic(pooled) -> float:
     """Median pairwise distance of the pooled sample; deterministic stride
-    subsample above `cap` points to keep the quadratic cost bounded."""
+    subsample above 2000 points to keep the quadratic cost bounded."""
     x = np.atleast_2d(np.asarray(pooled, dtype=float))
-    if len(x) > cap:
-        x = x[np.linspace(0, len(x) - 1, cap).astype(int)]
+    if len(x) > 2000:
+        x = x[np.linspace(0, len(x) - 1, 2000).astype(int)]
     d = np.sqrt(_sq_dists(x, x))
     vals = d[np.triu_indices(len(x), k=1)]
     med = float(np.median(vals)) if len(vals) else 0.0

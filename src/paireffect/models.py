@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nets
+from .datagen import BINARY, CONTINUOUS
 from .nets import ELU, IDENTITY, LayerSpec, ParamStore
 
-BINARY = "binary"
-CONTINUOUS = "continuous"
 NUM_BINS = 5
 
 DEEP = "deep"

@@ -24,6 +24,9 @@ import numpy as np
 ELU = "elu"
 IDENTITY = "identity"
 _ACTIVATIONS = (ELU, IDENTITY)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class ShapeMismatch(ValueError):
@@ -306,22 +309,12 @@ class AdamState:
     m: ParamStore
     v: ParamStore
     step: int
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
 
 
-def adam_init(params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
-    return AdamState(
-        m=params.zeros_like(),
-        v=params.zeros_like(),
-        step=0,
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-    )
+def adam_init(params, lr=1e-4) -> AdamState:
+    return AdamState(m=params.zeros_like(), v=params.zeros_like(), step=0,
+                     lr=lr)
 
 
 def adam_step(params, grads, state):
@@ -331,35 +324,34 @@ def adam_step(params, grads, state):
     g, m, v = grads.flat, state.m.flat, state.v.flat
     # the same operations, in the same order, as beta1 * m + (1 - beta1) * g,
     # beta2 * v + (1 - beta2) * g * g and lr * (m / c1) / (sqrt(v / c2) + eps)
-    tmp = (1 - state.beta1) * g
-    m *= state.beta1
+    tmp = (1 - ADAM_BETA1) * g
+    m *= ADAM_BETA1
     m += tmp
-    np.multiply(1 - state.beta2, g, out=tmp)
+    np.multiply(1 - ADAM_BETA2, g, out=tmp)
     tmp *= g
-    v *= state.beta2
+    v *= ADAM_BETA2
     v += tmp
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     np.divide(m, c1, out=tmp)
     tmp *= state.lr
     denom = v / c2
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     tmp /= denom
     params.flat -= tmp
     state.step = t
     return params, state
 
 
-def finite_diff_check(model, batch, objective, reg, epsilon=1e-5) -> float:
+def finite_diff_check(model, batch, objective, reg) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Error per coordinate is |a - n| / max(1, |n|): relative where the numeric
     gradient is large, absolute where it is small (a tiny denominator would
     only amplify the cancellation noise of the central difference).
     """
-    if not 1e-7 <= epsilon <= 1e-3:
-        raise ValueError(f"epsilon {epsilon} outside [1e-7, 1e-3]")
+    epsilon = 1e-5
     _, analytic = loss_and_gradient(model, batch, objective, reg)
 
     probe = copy.copy(model)

@@ -15,8 +15,7 @@ marginal gap weighs the opposite arm's squared residual.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -85,26 +84,6 @@ class FiniteScene:
 
     def r1(self, x):
         return P.polyval(x, self.r1_coeffs)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "xs": self.xs.tolist(),
-            "p0": self.p0.tolist(),
-            "p1": self.p1.tolist(),
-            "u0": self.u0,
-            "r0_coeffs": self.r0_coeffs.tolist(),
-            "r1_coeffs": self.r1_coeffs.tolist(),
-            "lam": self.lam,
-        })
-
-    @classmethod
-    def from_json(cls, text) -> "FiniteScene":
-        doc = json.loads(text)
-        return cls(
-            xs=np.array(doc["xs"]), p0=np.array(doc["p0"]), p1=np.array(doc["p1"]),
-            u0=doc["u0"], r0_coeffs=np.array(doc["r0_coeffs"]),
-            r1_coeffs=np.array(doc["r1_coeffs"]), lam=doc.get("lam", 1.0),
-        )
 
 
 def scene_functionals(scene: FiniteScene) -> dict:
@@ -175,7 +154,7 @@ def _w1_discrete(xs, mass_a, mass_b) -> float:
     return float(np.sum(np.abs(ca[:-1] - cb[:-1]) * np.diff(x)))
 
 
-def verify_ite_bound(scene: FiniteScene, ipm="wasserstein1") -> dict:
+def verify_ite_bound(scene: FiniteScene) -> dict:
     """Check ITE risk <= pair risk + sum_t u_t (B W1(p_t, q_t)
     + 2 K_{1-t} delta sqrt(eps_F^t)) with exact constants.
 
@@ -184,8 +163,6 @@ def verify_ite_bound(scene: FiniteScene, ipm="wasserstein1") -> dict:
     over anchors (absolute distance; the squared variant is also reported).
     Also evaluates the factual-loss counterpart bound for comparison.
     """
-    if ipm != "wasserstein1":
-        raise ValueError("only the 1-D Wasserstein instantiation is supported")
     f = scene_functionals(scene)
     lo, hi = float(np.min(scene.xs)), float(np.max(scene.xs))
 
@@ -260,9 +237,9 @@ def scene_pair_loss_via_losses(scene: FiniteScene) -> float:
     return total / weight
 
 
-def random_scene(rng, max_degree=3, n_points=None, lam=None) -> FiniteScene:
+def random_scene(rng, max_degree=3) -> FiniteScene:
     """A randomized valid scene: random support, masses, polynomials."""
-    m = int(n_points) if n_points else int(rng.integers(3, 9))
+    m = int(rng.integers(3, 9))
     xs = np.sort(rng.uniform(-2.0, 2.0, size=m))
     p0 = rng.uniform(0.05, 1.0, size=m)
     p1 = rng.uniform(0.05, 1.0, size=m)
@@ -286,12 +263,12 @@ def random_scene(rng, max_degree=3, n_points=None, lam=None) -> FiniteScene:
     )
 
 
-def confounded_scene(rng, shift=1.0, width=0.35, lam=6.0) -> FiniteScene:
+def confounded_scene(rng) -> FiniteScene:
     """Overlapping but well-separated arm distributions on a shared grid,
     with a proximity-greedy kernel; used for the IPM-term ordering check."""
     xs = np.linspace(-2.0, 2.0, 21)
-    p0 = np.exp(-((xs + shift) ** 2) / (2.0 * width**2))
-    p1 = np.exp(-((xs - shift) ** 2) / (2.0 * width**2))
+    p0 = np.exp(-((xs + 1.0) ** 2) / (2.0 * 0.35**2))
+    p1 = np.exp(-((xs - 1.0) ** 2) / (2.0 * 0.35**2))
     return FiniteScene(
         xs=xs,
         p0=p0 / np.sum(p0),
@@ -299,7 +276,7 @@ def confounded_scene(rng, shift=1.0, width=0.35, lam=6.0) -> FiniteScene:
         u0=float(rng.uniform(0.35, 0.65)),
         r0_coeffs=rng.normal(0.0, 0.5, size=2),
         r1_coeffs=rng.normal(0.0, 0.5, size=2),
-        lam=lam,
+        lam=6.0,
     )
 
 
@@ -310,10 +287,10 @@ STRICT = "strict"
 VIOLATED = "violated"
 
 
-def _sweep_dataset(n, overlap, c, rng) -> Dataset:
+def _sweep_dataset(n, overlap, rng) -> Dataset:
     if overlap == STRICT:
         x = rng.normal(0.0, 1.0, size=n)
-        propensity = np.clip(1.0 / (1.0 + np.exp(-2.0 * x)), c, 1.0 - c)
+        propensity = np.clip(1.0 / (1.0 + np.exp(-2.0 * x)), 0.1, 0.9)
         t = (rng.uniform(size=n) < propensity).astype(float)
     elif overlap == VIOLATED:
         half = n // 2
@@ -333,21 +310,20 @@ def _sweep_dataset(n, overlap, c, rng) -> Dataset:
                    oracle=Oracle(fn=oracle_fn, noise_sd=0.1))
 
 
-def consistency_sweep(sizes=(100, 400, 1600, 6400), overlap=STRICT, c=0.1,
-                      pairing_config=None, seed=0, train_pehe=False) -> list[dict]:
+def consistency_sweep(sizes=(100, 400, 1600, 6400), overlap=STRICT,
+                      seed=0) -> list[dict]:
     """Neighbor-distance shrinkage as the sample grows.
 
-    The default kernel temperature is large (near nearest-neighbor pairing)
+    The kernel temperature is large (near nearest-neighbor pairing)
     because the shrinking-neighborhood argument is about distance-greedy
     pairs; a fixed moderate temperature converges to a fixed non-degenerate
     neighbor distribution instead, and its expected distance plateaus.
     """
-    if pairing_config is None:
-        pairing_config = PairingConfig(temperature=1e6)
+    pairing_config = PairingConfig(temperature=1e6)
     rows = []
     for n in sizes:
         rng = np.random.default_rng([derive_seed("sweep", seed, n)])
-        ds = _sweep_dataset(n, overlap, c, rng)
+        ds = _sweep_dataset(n, overlap, rng)
         provider = IdentityEmbedding(ds.dim)
         pairs = create_pair_ds(ds, ds, pairing_config, provider,
                                derive_seed("sweep-pairs", seed, n))
@@ -364,12 +340,5 @@ def consistency_sweep(sizes=(100, 400, 1600, 6400), overlap=STRICT, c=0.1,
                 wasserstein1_1d(ds.x[ds.t == g, 0], pairs.xp[sel, 0])
                 if np.any(sel) else float("nan")
             )
-        if train_pehe:
-            from . import training
-
-            cfg = training.TrainConfig(arch="shallow", max_epochs=60,
-                                       seed=derive_seed("sweep-train", seed, n))
-            model, record = training.train(ds, cfg)
-            row["pehe"] = training.evaluate_pehe(model, ds)
         rows.append(row)
     return rows

@@ -125,6 +125,28 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
     assert doc["error"] == "ValueError" and "max_epoch" in doc["message"]
 
 
+def test_train_rejects_config_keys_a_flag_owns(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    assert main(["gen", "polynomial", "--n", "40", "--out", str(data)]) == 0
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({
+        "max_epochs": 1, "seed": 5, "arch": "shallow",
+        "loss": {"kind": "factual"},
+        "pairing": {"temperature": 7.0, "num_neighbors": 9,
+                    "continuous_halfwidth": 0.1},
+    }))
+    capsys.readouterr()
+    rc, doc = run_cli(capsys, "train", "--data", str(data),
+                      "--config", str(config))
+    assert rc == 2 and doc["error"] == "UsageError"
+    for named in ("seed (--seed)", "loss (--loss/--alpha)", "arch (--arch)",
+                  "pairing.temperature (--lambda)",
+                  "pairing.num_neighbors (--num-neighbors)"):
+        assert named in doc["message"]
+    assert "max_epochs" not in doc["message"]
+    assert "continuous_halfwidth" not in doc["message"]
+
+
 def test_missing_data_file_is_runtime_error(tmp_path, capsys):
     rc, doc = run_cli(capsys, "train", "--data", str(tmp_path / "nope.csv"))
     assert rc == 1

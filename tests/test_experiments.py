@@ -149,6 +149,29 @@ def test_run_experiment_rejects_unknown_train_keys_before_any_cell(tmp_path):
     assert not (tmp_path / "results.csv").exists()
 
 
+def test_run_experiment_rejects_unread_keys_before_any_cell(tmp_path):
+    rows = tmp_path / "rows.csv"
+    save_csv(gen_polynomial_synth(60, np.random.default_rng(0)), str(rows))
+    csv_only = tiny_descriptor(csv={"path": str(rows), "n_tests": 20})
+    del csv_only["generator"]
+    cases = {
+        "seed": tiny_descriptor(train={**BASE_TRAIN, "seed": 5}),
+        "loss": tiny_descriptor(train={**BASE_TRAIN,
+                                       "loss": {"kind": "factual"}}),
+        "grids": tiny_descriptor(grids={"temperature": [1.0]}),
+        "ntest": tiny_descriptor(generator={"kind": "polynomial", "n": 60,
+                                            "ntest": 30}),
+        "family": tiny_descriptor(generator={"kind": "polynomial",
+                                             "family": "news"}),
+        "n_tests": csv_only,
+        "exactly one": tiny_descriptor(csv={"path": str(rows), "n_test": 20}),
+    }
+    for i, (named, desc) in enumerate(cases.items()):
+        with pytest.raises(ValueError, match=named):
+            run_experiment(desc, str(tmp_path / str(i)))
+        assert not (tmp_path / str(i)).exists()
+
+
 def test_run_experiment_csv_source(tmp_path):
     rng = np.random.default_rng(0)
     ds = gen_polynomial_synth(60, rng)

@@ -1,6 +1,7 @@
 """Exact fingerprints of short training runs, recorded before parameters
 became views into one flat vector; any change to the network arithmetic,
-the Adam update or the random streams moves them.
+the Adam update or the random streams moves them.  The same subprocess
+pins the `verify` suites' output and the two toy studies.
 
 Runs in a subprocess with one BLAS thread, because the thread count
 changes how BLAS rounds these products (the values were recorded with
@@ -8,6 +9,10 @@ OpenBLAS 0.3 on x86-64; another BLAS build may round differently).
 Run this file directly to print the current values.
 """
 
+import contextlib
+import functools
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -42,6 +47,31 @@ GOLDEN = {
         "pair_hashes": [],
         "val_losses": ["0.9980302502086366", "0.7279107481657678",
                        "0.3719316940024735"],
+    },
+}
+
+
+# outputs of the analysis paths whose tuning values became constants,
+# recorded while those values were still parameters
+ANALYSIS = {
+    "verify_all_scenes5_seed0_sha256":
+        "f6a064e98749f79813691c462190dc6d0e471da2ec18d4d0ca8b245f36a7f6f4",
+    "gp_correlation_toy": {
+        "corr_factual": "0.2123859115214796",
+        "corr_no_alignment": "0.15420926026284038",
+        "corr_pair": "0.7852290308537814",
+        "n_draws": "20",
+        "n_pairs": "243",
+    },
+    "mmd_shift_toy": {
+        "bandwidth": "1.3860375910520677",
+        "mmd_p0_p1": "0.7190666628373386",
+        "mmd_p0_q0": "0.1575691159459233",
+        "mmd_p1_q1": "0.06153971821055477",
+        "mmd_p_q": "0.10955441707823903",
+        "n_pairs": "540",
+        "n_per_side": "300",
+        "ratio": "6.563557015905732",
     },
 }
 
@@ -91,7 +121,28 @@ def records():
     return out
 
 
-def test_training_runs_match_recorded_fingerprints():
+def analysis():
+    """The verify suites' JSON (as its sha256) and the two toy studies."""
+    from paireffect import cli
+    from paireffect.datagen import GPToyConfig
+    from paireffect.experiments import gp_correlation_toy, mmd_shift_toy
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["verify", "--suite", "all", "--scenes", "5", "--seed", "0"])
+    corr = gp_correlation_toy(GPToyConfig(n0=60, n1=30, grid_points=64),
+                              n_draws=20, seed=3)
+    mmd = mmd_shift_toy(n_per_side=300, seed=3)
+    return {
+        "verify_all_scenes5_seed0_sha256":
+            hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        "gp_correlation_toy": {k: repr(v) for k, v in corr.items()},
+        "mmd_shift_toy": {k: repr(v) for k, v in mmd.items()},
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _one_blas_thread_run():
     import paireffect
 
     src = str(Path(paireffect.__file__).resolve().parent.parent)
@@ -101,13 +152,23 @@ def test_training_runs_match_recorded_fingerprints():
     done = subprocess.run([sys.executable, __file__], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    got = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_training_runs_match_recorded_fingerprints():
+    got = _one_blas_thread_run()["records"]
     for name, expect in GOLDEN.items():
         assert got[name] == expect, name
 
 
+def test_analysis_outputs_match_recorded_values():
+    got = _one_blas_thread_run()["analysis"]
+    for name, expect in ANALYSIS.items():
+        assert got[name] == expect, name
+
+
 if __name__ == "__main__":
-    print(json.dumps(records(), indent=1))
+    print(json.dumps({"records": records(), "analysis": analysis()}, indent=1))
 
 
 # config_hash of configs built from CLI flags, a --config file and descriptor

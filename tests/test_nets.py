@@ -137,7 +137,7 @@ def test_adam_step_matches_per_array_reference(rng):
     ref = [a.copy() for a in _arrays(params)]
     m = [np.zeros_like(a) for a in ref]
     v = [np.zeros_like(a) for a in ref]
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    b1, b2, lr, eps = 0.9, 0.999, 1e-3, 1e-8
     for t in range(1, 4):
         grads = params.zeros_like()
         grads.flat[:] = rng.normal(size=grads.flat.size) * 10.0 ** rng.integers(-6, 3)

@@ -109,13 +109,6 @@ def test_bound_ipm_term_tighter_under_confounding():
         assert out["ipm_term"] < out["w1_p0_p1"]
 
 
-def test_scene_json_round_trip():
-    scene = _uniform_scene()
-    clone = FiniteScene.from_json(scene.to_json())
-    assert np.array_equal(clone.xs, scene.xs)
-    assert verify_lemma_identity(clone)["gap"] <= 1e-12
-
-
 def test_sweep_distances_shrink_under_strict_overlap():
     rows = consistency_sweep(sizes=(100, 1600), overlap=STRICT, seed=0)
     assert rows[-1]["delta_hat"] < 0.5 * rows[0]["delta_hat"]
