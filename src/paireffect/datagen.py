@@ -179,13 +179,11 @@ class GPToy:
     tau: np.ndarray         # true effect on the grid
     weights: np.ndarray     # covariate mixture density on the grid
     dataset: Dataset
+    factors: tuple          # gp_factor of the outcome and effect widths
 
     def draw_candidate(self, rng):
         """A candidate (base outcome, effect) pair on the same grid."""
-        if not hasattr(self, "_cand_factors"):
-            self._cand_factors = (gp_factor(self.grid, GP_WIDTH_OUTCOME),
-                                  gp_factor(self.grid, GP_WIDTH_EFFECT))
-        f_out, f_eff = self._cand_factors
+        f_out, f_eff = self.factors
         mu0_hat = f_out @ rng.standard_normal(len(self.grid))
         tau_hat = f_eff @ rng.standard_normal(len(self.grid))
         return mu0_hat, tau_hat
@@ -216,8 +214,10 @@ def gen_gp_toy(config: GPToyConfig) -> GPToy:
     lo = GP_BASE_MEAN - 4.0
     hi = GP_BASE_MEAN + config.shift + 4.0
     grid = np.linspace(lo, hi, config.grid_points)
-    mu0 = sample_gp(grid, GP_WIDTH_OUTCOME, rng)
-    tau = sample_gp(grid, GP_WIDTH_EFFECT, rng)
+    # candidates share the truth's widths, so one factorization serves both
+    factors = (gp_factor(grid, GP_WIDTH_OUTCOME), gp_factor(grid, GP_WIDTH_EFFECT))
+    mu0 = factors[0] @ rng.standard_normal(len(grid))
+    tau = factors[1] @ rng.standard_normal(len(grid))
 
     x0 = rng.normal(GP_BASE_MEAN, 1.0, size=config.n0)
     x1 = rng.normal(GP_BASE_MEAN + config.shift, 1.0, size=config.n1)
@@ -242,7 +242,8 @@ def gen_gp_toy(config: GPToyConfig) -> GPToy:
         mode=BINARY,
         oracle=Oracle(fn=oracle_fn, noise_sd=config.noise_sd),
     )
-    return GPToy(config=config, grid=grid, mu0=mu0, tau=tau, weights=weights, dataset=ds)
+    return GPToy(config=config, grid=grid, mu0=mu0, tau=tau, weights=weights,
+                 dataset=ds, factors=factors)
 
 
 def gen_gaussian_confounded(u, s, n0, n1, rng) -> Dataset:

@@ -136,6 +136,8 @@ def _check_descriptor(descriptor) -> None:
     gen, spec = descriptor.get("generator"), descriptor.get("csv")
     if (gen is None) == (not spec):
         raise ValueError("descriptor needs exactly one of 'generator' and 'csv'")
+    if spec and "path" not in spec:
+        raise ValueError("csv block needs key 'path'")
     source = "csv" if gen is None else f"{gen.get('kind')} generator"
     if source not in _READ_KEYS:
         raise ValueError(f"unknown generator kind {gen.get('kind')!r}")

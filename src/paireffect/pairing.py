@@ -4,20 +4,21 @@ For each anchor record, opposite-treatment neighbors are sampled from a
 softmax over negative embedding distances, exp(-lambda * d); the fraction of
 assembled pairs with the largest distances is then dropped globally.
 Continuous treatments first draw a target t' ~ Uniform[0,1] per anchor and
-restrict candidates to a window around it.
+restrict candidates to a window around it; binary ones target 1 - t.
 
-Distances are computed in anchor blocks whose difference temporary stays
-within _BLOCK_BYTES (or one anchor's row, when that is larger), either on
-the fly or read from a table made once by pair_distances.  Training keeps the embedding fixed for the whole run, so it
-builds that table once from the train split (n_train**2 float64: 2.2 MB at
-n_train = 525, 392 MB at 7,000) and hands it to every epoch.  The top k keys
-are found with a partition, then only the candidates at or above the k-th
-key are sorted.
+Anchors are taken in blocks in target order and candidates sorted by t, so
+a block reads only the slab its windows span: distances gathered from a
+pair_distances table (training builds one per run) or computed on the fly,
+within _BLOCK_BYTES of temporaries.  The k smallest keys lambda * d +
+log(E), E ~ Exp(1), are a Gumbel top-k: k successive softmax draws without
+replacement, exact at any temperature.  Anchors with fewer than k eligible
+candidates draw k with replacement; those with none are skipped.
 
-Determinism: each anchor owns an rng derived from (seed, anchor position), so
-results are independent of iteration order and safe to parallelize.  The
-rng draws, in order, the continuous target and then the Gumbel keys; neither
-the distance table nor the block size changes a draw or a distance bit.
+Determinism: one generator per call, seeded by rng_seed, draws in order the
+continuous targets, one exponential per eligible (anchor, candidate) entry
+in (target, t) order, and the with-replacement rows.  Neither the block size
+nor the distance table changes a draw or a distance bit.  The draws are
+shared, so an anchor's pairs depend on the other anchors of the call.
 """
 
 from __future__ import annotations
@@ -166,46 +167,38 @@ def _softmax_neg(distances, lam):
     return z / np.sum(z)
 
 
-# the largest difference temporary one distance block may allocate
+# the largest temporary one anchor block may allocate
 _BLOCK_BYTES = 1 << 18
 
 
-def _distance_blocks(e_anchor, e_cand):
-    """Yield (first row, block) of anchor-to-candidate Euclidean distances.
-
-    Each entry is sqrt(add.reduce(diff * diff)) over a contiguous row, the
-    same reduction np.linalg.norm(..., axis=1) does, so the values match it
-    bit for bit whatever the block size.
-    """
-    e_anchor = np.ascontiguousarray(e_anchor)
-    e_cand = np.ascontiguousarray(e_cand)
-    rows = max(1, _BLOCK_BYTES // max(e_cand.nbytes, 1))
-    for lo in range(0, len(e_anchor), rows):
-        diff = e_cand - e_anchor[lo:lo + rows, None, :]
-        diff *= diff
-        yield lo, np.sqrt(np.add.reduce(diff, axis=-1))
+def _distances(e_anchor, e_cand):
+    """Anchor x candidate Euclidean distances, each sqrt(add.reduce(diff *
+    diff)) over a contiguous row as np.linalg.norm(..., axis=1) does, so
+    they match it bit for bit whatever the block shape."""
+    diff = e_cand - e_anchor[:, None, :]
+    diff *= diff
+    return np.sqrt(np.add.reduce(diff, axis=-1))
 
 
 def pair_distances(anchors: Dataset, candidates: Dataset, provider) -> np.ndarray:
     """The full anchor x candidate distance table in the provider's
     embedding, for reuse across create_pair_ds calls on the same tables."""
+    e_anchor = provider.embed(anchors.x)
+    e_cand = np.ascontiguousarray(provider.embed(candidates.x))
     out = np.empty((len(anchors), len(candidates)))
-    for lo, block in _distance_blocks(provider.embed(anchors.x),
-                                      provider.embed(candidates.x)):
-        out[lo:lo + len(block)] = block
+    rows = max(1, _BLOCK_BYTES // max(e_cand.nbytes, 1))
+    for lo in range(0, len(out), rows):
+        out[lo:lo + rows] = _distances(e_anchor[lo:lo + rows], e_cand)
     return out
 
 
-def _top_k(keys, k):
-    """Indices of the k largest keys, ties to the lower index: exactly
-    np.argsort(-keys, kind="stable")[:k], NaN keys last, without sorting
-    every key."""
-    neg = -keys
-    kth = np.partition(neg, k - 1)[k - 1]
-    # `not >` keeps NaNs, and everything when kth itself is NaN, so the
-    # stable sort below still sees every key the full sort would rank first
-    top = np.flatnonzero(~(neg > kth))
-    return top[np.argsort(neg[top], kind="stable")[:k]]
+def _smallest_k(keys, k):
+    """Column indices of each row's k smallest keys in increasing order:
+    np.argsort(row, kind="stable")[:k] for every row, without sorting
+    every key, whenever a row's k-th and (k+1)-th keys differ."""
+    rows = np.arange(len(keys))[:, None]
+    top = np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)
+    return top[rows, np.argsort(keys[rows, top], axis=1, kind="stable")]
 
 
 def create_pair_ds(anchors: Dataset, candidates: Dataset,
@@ -219,88 +212,102 @@ def create_pair_ds(anchors: Dataset, candidates: Dataset,
     """
     if anchors.dim != candidates.dim or anchors.mode != candidates.mode:
         raise ValueError("anchor and candidate datasets disagree on shape/mode")
-    mode = anchors.mode
-    k = config.num_neighbors
-    if distances is None:
-        blocks = _distance_blocks(provider.embed(anchors.x),
-                                  provider.embed(candidates.x))
+    shape = (len(anchors), len(candidates))
+    if distances is not None and np.shape(distances) != shape:
+        raise ValueError(f"distance table has shape {np.shape(distances)}, "
+                         f"expected {shape}")
+    mode, k, lam = anchors.mode, config.num_neighbors, config.temperature
+    rng = np.random.default_rng(rng_seed)
+    # an eligible candidate's t lies strictly within `reach` of its anchor's
+    # target: the opposite arm, or the window around a drawn t'
+    if mode == BINARY:
+        target, reach = 1.0 - anchors.t, 0.5
     else:
-        if np.shape(distances) != (len(anchors), len(candidates)):
-            raise ValueError(
-                f"distance table has shape {np.shape(distances)}, expected "
-                f"{(len(anchors), len(candidates))}"
-            )
-        blocks = [(0, distances)]
+        target = rng.uniform(size=len(anchors))
+        reach = config.continuous_halfwidth
+    c_order = np.argsort(candidates.t, kind="stable")
+    t_c, ids_c = candidates.t[c_order], candidates.ids[c_order]
+    a_order = np.argsort(target, kind="stable")
+    width = 1  # a table block's temporaries hold one float per entry
+    if distances is None:
+        e_anchor = provider.embed(anchors.x)
+        e_cand = np.ascontiguousarray(provider.embed(candidates.x)[c_order])
+        width = e_cand.shape[1]
+    rows = max(1, _BLOCK_BYTES // max(8 * len(candidates) * width, 1))
+    # each block reads the slab of t-sorted candidates its windows span; a
+    # bound one float step beyond each rounded window edge keeps every
+    # candidate the exact mask below can admit
+    starts = np.arange(0, len(anchors), rows)
+    ends = np.minimum(starts + rows, len(anchors))
+    slab_lo = np.searchsorted(
+        t_c, np.nextafter(target[a_order[starts]] - reach, -np.inf))
+    slab_hi = np.searchsorted(
+        t_c, np.nextafter(target[a_order[ends - 1]] + reach, np.inf), "right")
     same_table = anchors.source == candidates.source
 
-    # at most k pairs per anchor; filled up to `size`
-    rows_a = np.empty(len(anchors) * k, dtype=np.intp)
-    rows_c = np.empty_like(rows_a)
-    dists = np.empty(len(rows_a))
-    targets = np.empty(len(rows_a))
-    size = skipped = 0
-    for lo, block in blocks:
-        for i, row in enumerate(block, start=lo):
-            rng = np.random.default_rng([rng_seed, i])
-            if mode == BINARY:
-                eligible = candidates.t != anchors.t[i]
-                target = 0.0
-            else:
-                target = rng.uniform()
-                eligible = (np.abs(candidates.t - target)
-                            < config.continuous_halfwidth)
-            if same_table:
-                eligible = eligible & (candidates.ids != anchors.ids[i])
-            idx = np.flatnonzero(eligible)
-            if len(idx) == 0:
-                skipped += 1
-                continue
-            d = row[idx]
-            if len(idx) >= k:
-                # Gumbel top-k == successive softmax draws without
-                # replacement, and stays exact for arbitrarily large
-                # temperatures where the normalized probabilities would
-                # underflow
-                keys = -config.temperature * d + rng.gumbel(size=len(idx))
-                pick = _top_k(keys, k)
-            else:
-                probs = _softmax_neg(d, config.temperature)
-                pick = rng.choice(len(idx), size=k, replace=True, p=probs)
-            fill = slice(size, size + k)
-            rows_a[fill] = i
-            rows_c[fill] = idx[pick]
-            dists[fill] = d[pick]
-            targets[fill] = target
-            size += k
-    if size == 0:
+    nbr = np.empty((len(anchors), k), dtype=np.intp)
+    dist = np.empty((len(anchors), k))
+    n_eligible = np.empty(len(anchors), dtype=np.intp)
+    short = []   # (anchor, eligible candidates, distances) with < k eligible
+    for start, end, lo, hi in zip(starts, ends, slab_lo, slab_hi):
+        a_rows, cols = a_order[start:end], c_order[lo:hi]
+        if distances is None:
+            d = _distances(e_anchor[a_rows], e_cand[lo:hi])
+        else:
+            d = distances[a_rows][:, cols]
+        if mode == BINARY:
+            mask = t_c[None, lo:hi] != anchors.t[a_rows, None]
+        else:
+            mask = np.abs(t_c[None, lo:hi] - target[a_rows, None]) < reach
+        if same_table:
+            mask &= ids_c[None, lo:hi] != anchors.ids[a_rows, None]
+        count = n_eligible[a_rows] = np.count_nonzero(mask, axis=1)
+        # exponential race: the k smallest lam * d + log(E) are the k largest
+        # Gumbel keys -lam * d + G, since -log(E) is a standard Gumbel
+        keys = np.full(d.shape, np.inf)
+        keys[mask] = np.log(rng.standard_exponential(int(count.sum())))
+        keys += lam * d
+        full = count >= k
+        if np.any(full):
+            top = _smallest_k(keys, k)
+            nbr[a_rows[full]] = cols[top[full]]
+            dist[a_rows[full]] = np.take_along_axis(d, top, 1)[full]
+        for r in np.flatnonzero((count > 0) & ~full):
+            short.append((a_rows[r], cols[mask[r]], d[r, mask[r]]))
+    for a, cols, d in short:
+        pick = rng.choice(len(cols), size=k, replace=True,
+                          p=_softmax_neg(d, lam))
+        nbr[a], dist[a] = cols[pick], d[pick]
+    paired = np.flatnonzero(n_eligible > 0)
+    if len(paired) == 0:
         raise EmptyPairDataset("every anchor was skipped")
 
-    rows_a, rows_c, dists = rows_a[:size], rows_c[:size], dists[:size]
-    keep = int(np.floor((1.0 - config.delta_pair) * len(rows_a) + 0.5))
-    order = np.argsort(dists, kind="stable")[:keep]
-    order = np.sort(order)  # keep assembly order among the retained pairs
-
-    pairs = PairDataset(
-        anchor_idx=anchors.ids[rows_a[order]],
-        nbr_idx=candidates.ids[rows_c[order]],
-        x=anchors.x[rows_a[order]],
-        t=anchors.t[rows_a[order]],
-        y=anchors.y[rows_a[order]],
-        xp=candidates.x[rows_c[order]],
-        tp=candidates.t[rows_c[order]],
-        yp=candidates.y[rows_c[order]],
+    dists = dist[paired].ravel()
+    keep = int(np.floor((1.0 - config.delta_pair) * len(dists) + 0.5))
+    # keep assembly order (anchor, then draw) among the retained pairs
+    order = np.sort(np.argsort(dists, kind="stable")[:keep])
+    rows_a, rows_c = np.repeat(paired, k)[order], nbr[paired].ravel()[order]
+    return PairDataset(
+        anchor_idx=anchors.ids[rows_a],
+        nbr_idx=candidates.ids[rows_c],
+        x=anchors.x[rows_a],
+        t=anchors.t[rows_a],
+        y=anchors.y[rows_a],
+        xp=candidates.x[rows_c],
+        tp=candidates.t[rows_c],
+        yp=candidates.y[rows_c],
         distance=dists[order],
-        target_t=targets[order] if mode == CONTINUOUS else None,
+        target_t=target[rows_a] if mode == CONTINUOUS else None,
         provenance={
             "anchor_source": anchors.source,
             "candidate_source": candidates.source,
             "seed": int(rng_seed),
-            "skipped_anchors": skipped,
-            "pre_trim_size": int(len(rows_a)),
+            "skipped_anchors": int(len(anchors) - len(paired)),
+            "fallback_anchors": len(short),
+            "pre_trim_size": int(len(dists)),
             "config": asdict(config),
         },
     )
-    return pairs
 
 
 def neighbor_diagnostics(pairs: PairDataset) -> dict:

@@ -128,6 +128,16 @@ def test_gp_toy_draws_are_reproducible():
     assert np.array_equal(mu_a, mu_b) and np.array_equal(tau_a, tau_b)
 
 
+def test_gp_toy_candidates_use_the_kernel_factors():
+    from paireffect.datagen import GP_WIDTH_EFFECT, GP_WIDTH_OUTCOME
+
+    toy = gen_gp_toy(GPToyConfig(seed=4, grid_points=64))
+    mu_hat, tau_hat = toy.draw_candidate(np.random.default_rng(9))
+    z = np.random.default_rng(9).standard_normal((2, 64))
+    assert np.array_equal(mu_hat, gp_factor(toy.grid, GP_WIDTH_OUTCOME) @ z[0])
+    assert np.array_equal(tau_hat, gp_factor(toy.grid, GP_WIDTH_EFFECT) @ z[1])
+
+
 def test_gp_toy_zero_shift_mmd_small():
     near = gen_gp_toy(GPToyConfig(seed=0, shift=0.0, n0=800, n1=800))
     far = gen_gp_toy(GPToyConfig(seed=0, shift=4.0, n0=800, n1=800))

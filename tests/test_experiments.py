@@ -154,6 +154,8 @@ def test_run_experiment_rejects_unread_keys_before_any_cell(tmp_path):
     save_csv(gen_polynomial_synth(60, np.random.default_rng(0)), str(rows))
     csv_only = tiny_descriptor(csv={"path": str(rows), "n_tests": 20})
     del csv_only["generator"]
+    no_path = tiny_descriptor(csv={"mode": "binary", "n_test": 20})
+    del no_path["generator"]
     cases = {
         "seed": tiny_descriptor(train={**BASE_TRAIN, "seed": 5}),
         "loss": tiny_descriptor(train={**BASE_TRAIN,
@@ -164,6 +166,7 @@ def test_run_experiment_rejects_unread_keys_before_any_cell(tmp_path):
         "family": tiny_descriptor(generator={"kind": "polynomial",
                                              "family": "news"}),
         "n_tests": csv_only,
+        "'path'": no_path,
         "exactly one": tiny_descriptor(csv={"path": str(rows), "n_test": 20}),
     }
     for i, (named, desc) in enumerate(cases.items()):

@@ -1,7 +1,9 @@
 """Exact fingerprints of short training runs, recorded before parameters
 became views into one flat vector; any change to the network arithmetic,
 the Adam update or the random streams moves them.  The same subprocess
-pins the `verify` suites' output and the two toy studies.
+pins the `verify` suites' output and the two toy studies.  The values that
+pairs feed (the pair runs, the verify output, both toy studies) were
+recorded again when the pair sampler moved to one generator per call.
 
 Runs in a subprocess with one BLAS thread, because the thread count
 changes how BLAS rounds these products (the values were recorded with
@@ -29,18 +31,18 @@ GOLDEN = {
                        "0.7504904017288946"],
     },
     "pair_deep_binary": {
-        "model_hash": "6a4778d47743938e",
-        "pair_hashes": ["9117d80e37c3a0fb", "4bd161af2996e561",
-                        "8b2700a377d0d5aa"],
-        "val_losses": ["1.5998054339737524", "1.2855904359347545",
-                       "1.007490610192864"],
+        "model_hash": "a830cef1465de9d7",
+        "pair_hashes": ["ec53607b9e63cae6", "e24543469cf43038",
+                        "b45afe92f66fc16a"],
+        "val_losses": ["1.9312288367848003", "1.6689277418180106",
+                       "1.4277375258508964"],
     },
     "pair_shallow_continuous": {
-        "model_hash": "cdfd7b7a2f873844",
-        "pair_hashes": ["275e5b87318e3caf", "05c3b544eeebdaac",
-                        "8cf956dff38223f4"],
-        "val_losses": ["0.20171963802043907", "0.3049320957475796",
-                       "0.20181448432736365"],
+        "model_hash": "d523fb51a4025820",
+        "pair_hashes": ["277d47f31eacb21d", "221e4654d9b8dc4f",
+                        "36d293e29a2f6512"],
+        "val_losses": ["0.2158599839188928", "0.09909090043595663",
+                       "0.06547551279761386"],
     },
     "factual_deep_continuous": {
         "model_hash": "8bcafa6c820113df",
@@ -55,23 +57,23 @@ GOLDEN = {
 # recorded while those values were still parameters
 ANALYSIS = {
     "verify_all_scenes5_seed0_sha256":
-        "f6a064e98749f79813691c462190dc6d0e471da2ec18d4d0ca8b245f36a7f6f4",
+        "0abf37dc4228b951aa305d281562a48db6a0a98ae9bb544b710d9b42b369e78e",
     "gp_correlation_toy": {
         "corr_factual": "0.2123859115214796",
-        "corr_no_alignment": "0.15420926026284038",
-        "corr_pair": "0.7852290308537814",
+        "corr_no_alignment": "0.17611970614140796",
+        "corr_pair": "0.8148436963072713",
         "n_draws": "20",
         "n_pairs": "243",
     },
     "mmd_shift_toy": {
         "bandwidth": "1.3860375910520677",
         "mmd_p0_p1": "0.7190666628373386",
-        "mmd_p0_q0": "0.1575691159459233",
-        "mmd_p1_q1": "0.06153971821055477",
-        "mmd_p_q": "0.10955441707823903",
+        "mmd_p0_q0": "0.15602634948968502",
+        "mmd_p1_q1": "0.06217475061448699",
+        "mmd_p_q": "0.109100550052086",
         "n_pairs": "540",
         "n_per_side": "300",
-        "ratio": "6.563557015905732",
+        "ratio": "6.5908619387715905",
     },
 }
 

@@ -8,7 +8,7 @@ from paireffect.pairing import (
     PairingConfig,
     PhiEmbedding,
     RandomProjectionEmbedding,
-    _top_k,
+    _smallest_k,
     create_pair_ds,
     derive_seed,
     neighbor_diagnostics,
@@ -99,21 +99,18 @@ def test_without_replacement_no_duplicate_neighbors():
 
 
 def test_uniform_sampling_at_zero_temperature():
-    # lambda = 0 makes every opposite-arm candidate equally likely; check the
-    # frequency of the farthest candidate is within chi-square-ish slack
-    rng = np.random.default_rng(8)
-    x = np.concatenate([np.zeros(1), np.linspace(0.0, 3.0, 30)])
-    t = np.concatenate([np.zeros(1), np.ones(30)])
-    ds = Dataset(x=x[:, None], t=t, y=np.zeros(31), mode=BINARY)
+    # lambda = 0 makes every opposite-arm candidate equally likely
+    x = np.concatenate([np.linspace(0.0, 3.0, 30), [0.0, 1.0]])
+    t = np.concatenate([np.ones(30), np.zeros(2)])
+    candidates = Dataset(x=x[:, None], t=t, y=np.zeros(32), mode=BINARY)
     cfg = PairingConfig(temperature=0.0, num_neighbors=1, delta_pair=0.0)
-    counts = np.zeros(31)
-    for s in range(600):
-        pairs = create_pair_ds(
-            ds.subset([0]), ds, cfg, IdentityEmbedding(1), s
-        )
-        counts[pairs.nbr_idx[0]] += 1
-    freq = counts[1:] / 600.0
-    assert np.all(np.abs(freq - 1 / 30) < 0.05)
+    draws = 6000
+    pairs = create_pair_ds(_copies(draws, 0.0), candidates, cfg,
+                           IdentityEmbedding(1), 2)
+    counts = np.bincount(pairs.nbr_idx, minlength=32).astype(float)
+    assert counts[30:].sum() == 0
+    stat, df = _chi2(counts[:30], np.full(30, draws / 30))
+    assert df == 29 and stat < _chi2_upper(df)
 
 
 def test_trim_drops_global_distance_tail():
@@ -271,6 +268,120 @@ def test_neighbor_frequencies_match_softmax_chi_square():
     assert chi2 < 31.26
 
 
+def _chi2_upper(df):
+    """0.999 quantile of chi-square with df degrees of freedom
+    (Wilson-Hilferty; within 1 % of the exact value for df >= 10)."""
+    z = 3.0902  # 0.999 quantile of the standard normal
+    return df * (1.0 - 2.0 / (9 * df) + z * np.sqrt(2.0 / (9 * df))) ** 3
+
+
+def _chi2(counts, expected):
+    """Chi-square statistic and degrees of freedom, cells expecting fewer
+    than 5 draws pooled into one."""
+    small = expected < 5
+    counts = np.r_[counts[~small], counts[small].sum()]
+    expected = np.r_[expected[~small], expected[small].sum()]
+    used = expected > 0
+    stat = np.sum((counts[used] - expected[used]) ** 2 / expected[used])
+    return float(stat), int(used.sum()) - 1
+
+
+def _copies(n, t, mode=BINARY):
+    """n independent anchors at x = 0 with treatment t."""
+    return Dataset(x=np.zeros((n, 1)), t=np.full(n, t), y=np.zeros(n),
+                   mode=mode)
+
+
+def test_ordered_neighbor_pairs_match_successive_softmax_chi_square():
+    # 12 opposite-arm candidates and 3 same-arm decoys; each anchor's two
+    # neighbors, in draw order, follow P(i, j) = p_i p_j / (1 - p_i)
+    x = np.concatenate([np.linspace(0.2, 2.5, 12), [0.1, 0.5, 1.0]])
+    t = np.concatenate([np.ones(12), np.zeros(3)])
+    candidates = Dataset(x=x[:, None], t=t, y=np.zeros(15), mode=BINARY)
+    provider = IdentityEmbedding(1)
+    cfg = PairingConfig(temperature=1.5, num_neighbors=2, delta_pair=0.0)
+    draws = 40000
+    pairs = create_pair_ds(_copies(draws, 0.0), candidates, cfg, provider, 5)
+    first, second = pairs.nbr_idx.reshape(draws, 2).T
+    assert np.all(first < 12) and np.all(second < 12)
+    assert np.all(first != second)
+    counts = np.bincount(first * 12 + second, minlength=144).astype(float)
+    p = neighbor_distribution([0.0], 0.0, candidates, provider, 1.5)[:12]
+    exact = p[:, None] * p[None, :] / (1.0 - p[:, None])
+    np.fill_diagonal(exact, 0.0)
+    stat, df = _chi2(counts, draws * exact.ravel())
+    assert stat < _chi2_upper(df)
+
+
+def test_continuous_window_frequencies_match_exact_chi_square():
+    # the target t' ~ U[0, 1] picks the window; integrating the window's
+    # softmax over t' gives each candidate's exact probability, and the
+    # uncovered stretches of [0, 1] the probability of a skipped anchor
+    # no candidate's window covers t' in (0.62, 0.74)
+    tc = np.array([0.05, 0.12, 0.2, 0.31, 0.45, 0.5, 0.86, 0.9, 0.93, 0.97])
+    xc = np.linspace(-1.0, 1.5, 10)
+    candidates = Dataset(x=xc[:, None], t=tc, y=np.zeros(10), mode=CONTINUOUS)
+    hw, lam = 0.12, 3.0
+    edges = np.unique(np.clip(np.r_[0.0, 1.0, tc - hw, tc + hw], 0.0, 1.0))
+    exact = np.zeros(11)  # ten candidates, then "skipped"
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        inside = np.abs(tc - 0.5 * (lo + hi)) < hw
+        if not inside.any():
+            exact[10] += hi - lo
+            continue
+        z = np.exp(-lam * np.abs(xc[inside]))
+        exact[:10][inside] += (hi - lo) * z / z.sum()
+    assert exact.sum() == pytest.approx(1.0)
+    cfg = PairingConfig(temperature=lam, num_neighbors=1, delta_pair=0.0,
+                        continuous_halfwidth=hw)
+    draws = 20000
+    pairs = create_pair_ds(_copies(draws, 0.3, CONTINUOUS), candidates, cfg,
+                           IdentityEmbedding(1), 6)
+    assert np.all(np.abs(pairs.tp - pairs.target_t) < hw)
+    counts = np.r_[np.bincount(pairs.nbr_idx, minlength=10),
+                   pairs.provenance["skipped_anchors"]].astype(float)
+    stat, df = _chi2(counts, draws * exact)
+    assert df == 10 and stat < _chi2_upper(df)
+
+
+@pytest.mark.parametrize("mode", [BINARY, CONTINUOUS])
+def test_extreme_temperature_picks_exact_k_nearest_in_order(mode):
+    k = 3
+    if mode == BINARY:
+        ds, provider = binary_dataset(n=50, seed=7), IdentityEmbedding(3)
+    else:
+        ds, provider = _continuous_table(), IdentityEmbedding(2)
+    cfg = PairingConfig(temperature=1e6, num_neighbors=k, delta_pair=0.0,
+                        continuous_halfwidth=0.2)
+    pairs = create_pair_ds(ds, ds, cfg, provider, 3)
+    assert pairs.provenance["fallback_anchors"] == 0
+    for row in range(0, len(pairs), k):
+        a = pairs.anchor_idx[row]
+        if mode == BINARY:
+            eligible = ds.t != ds.t[a]
+        else:
+            eligible = np.abs(ds.t - pairs.target_t[row]) < 0.2
+        eligible &= ds.ids != a
+        cand = np.flatnonzero(eligible)
+        dists = np.linalg.norm(ds.x[cand] - ds.x[a], axis=1)
+        nearest = cand[np.argsort(dists, kind="stable")[:k]]
+        assert np.array_equal(pairs.nbr_idx[row:row + k], nearest)
+
+
+def test_smallest_k_equals_per_row_stable_argsort():
+    rng = np.random.default_rng(0)
+    for keys in (rng.normal(size=(40, 25)),
+                 rng.integers(0, 6, size=(40, 25)).astype(float)):
+        keys[rng.uniform(size=keys.shape) < 0.3] = np.inf
+        for k in range(1, 12):
+            got = _smallest_k(keys, k)
+            for row, top in zip(keys, got):
+                ranked = np.sort(row)
+                if ranked[k - 1] != ranked[k]:  # the k smallest are unique
+                    assert np.array_equal(
+                        top, np.argsort(row, kind="stable")[:k])
+
+
 def _continuous_table():
     rng = np.random.default_rng(3)
     n = 80
@@ -285,12 +396,13 @@ def _short_arm_table():
                    y=rng.normal(size=12), mode=BINARY)
 
 
-# Hashes recorded before the blockwise sampler replaced the per-anchor norm
-# and full argsort; a change here means the random streams moved.
+# Hashes recorded when one generator per call began drawing the targets,
+# the exponential keys and the with-replacement rows; a change here means
+# the random streams moved.
 GOLDEN = {
-    "binary": ("63817214e39fd6aa", 162),
-    "continuous": ("9562f6f9249c5a4e", 144),
-    "fallback": ("39de3fe430461955", 36),
+    "binary": ("96c259942e9bfd5d", 162),
+    "continuous": ("7a338ae5be369d33", 144),
+    "fallback": ("110168033b44c8de", 36),
 }
 
 
@@ -318,6 +430,7 @@ def test_pair_draws_match_recorded_hashes(case):
         controls = pairs.anchor_idx >= 2
         assert set(pairs.nbr_idx[controls]) <= {0, 1}
         assert np.sum(controls) == 30
+        assert pairs.provenance["fallback_anchors"] == 10
 
 
 @pytest.mark.parametrize("dim", [1, 3, 10, 200])
@@ -353,19 +466,20 @@ def test_distance_table_gives_same_pairs(case):
         create_pair_ds(ds, ds, cfg, provider, seed, distances=table[1:])
 
 
-def test_top_k_equals_stable_argsort_with_ties_and_nans():
-    rng = np.random.default_rng(0)
-    cases = [
-        rng.normal(size=50),
-        rng.integers(0, 4, size=50).astype(float),  # heavy ties at the cut
-        np.array([1.0, np.nan, 1.0, 3.0, np.nan, 3.0]),
-        np.array([np.nan, np.nan, 2.0]),  # fewer finite keys than k
-        np.full(7, -np.inf),
-    ]
-    for keys in cases:
-        for k in range(1, len(keys) + 1):
-            expect = np.argsort(-keys, kind="stable")[:k]
-            assert np.array_equal(_top_k(keys, k), expect)
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_block_size_does_not_change_pairs(monkeypatch, case):
+    from paireffect import pairing
+
+    ds, cfg, provider, seed = _golden_cases()[case]
+    table = pair_distances(ds, ds, provider)
+    hashes = set()
+    for block_bytes in (1, 4096, 1 << 18):
+        monkeypatch.setattr(pairing, "_BLOCK_BYTES", block_bytes)
+        for distances in (None, table):
+            pairs = create_pair_ds(ds, ds, cfg, provider, seed,
+                                   distances=distances)
+            hashes.add((pairs.content_hash(), len(pairs)))
+    assert hashes == {GOLDEN[case]}
 
 
 def test_same_table_loaded_twice_never_self_pairs(tmp_path):
