@@ -10,6 +10,7 @@ Noise convention: where a recipe says N(0, v), v is a variance.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import itertools
@@ -47,6 +48,9 @@ class Oracle:
 
 @dataclass
 class Dataset:
+    """Rows (x, t, y) with stable ids, checked once on construction; slice
+    subsets and pair sets read the arrays in place, so never change them."""
+
     x: np.ndarray
     t: np.ndarray
     y: np.ndarray
@@ -59,6 +63,9 @@ class Dataset:
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
         self.t = np.asarray(self.t, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
+        for name, ndim in (("x", 2), ("t", 1), ("y", 1)):
+            if getattr(self, name).ndim != ndim:
+                raise ValueError(f"dataset {name} must be {ndim}-D")
         if len(self.x) < 1:
             raise ValueError("dataset must contain at least one row")
         if not (len(self.x) == len(self.t) == len(self.y)):
@@ -76,8 +83,9 @@ class Dataset:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.ids is None:
             self.ids = np.arange(len(self.x))
-        else:
-            self.ids = np.asarray(self.ids, dtype=int)
+        self.ids = np.asarray(self.ids, dtype=int)
+        if self.ids.shape != self.t.shape:
+            raise ValueError(f"dataset ids must have shape {self.t.shape}")
         if not self.source:
             h = hashlib.sha256(repr(self.x.shape).encode())
             for arr in (self.ids, self.x, self.t, self.y):
@@ -92,16 +100,14 @@ class Dataset:
         return self.x.shape[1]
 
     def subset(self, idx) -> "Dataset":
-        idx = np.asarray(idx)
-        return Dataset(
-            x=self.x[idx],
-            t=self.t[idx],
-            y=self.y[idx],
-            mode=self.mode,
-            ids=self.ids[idx],
-            source=self.source,
-            oracle=self.oracle,
-        )
+        """Rows idx (an index array, or a slice for views) with this table's
+        mode, source and oracle, and without checking them again."""
+        sub = copy.copy(self)
+        sub.x, sub.t, sub.y, sub.ids = (
+            self.x[idx], self.t[idx], self.y[idx], self.ids[idx])
+        if len(sub) < 1:
+            raise ValueError("dataset must contain at least one row")
+        return sub
 
     def true_mu(self, t) -> np.ndarray:
         """Noiseless outcome of every row under treatment(s) t."""
@@ -135,12 +141,6 @@ def gp_factor(xs, width) -> np.ndarray:
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise RuntimeError("kernel factorization failed at max jitter 1e-4")
-
-
-def sample_gp(xs, width, rng):
-    """One draw from a zero-mean GP with an RBF kernel of the given width."""
-    chol = gp_factor(xs, width)
-    return chol @ rng.standard_normal(chol.shape[0])
 
 
 # The effect length-scale is below the outcome's, i.e. the effect surface is

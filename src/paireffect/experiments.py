@@ -71,6 +71,9 @@ def gp_correlation_toy(config=None, n_draws=200, seed=0) -> dict:
     ds = toy.dataset
     pairs = create_pair_ds(ds, ds, PairingConfig(temperature=5.0),
                            IdentityEmbedding(1), derive_seed(seed, "corr-pairs"))
+    # each pair column read is a gather, so read them once
+    x, t, y = pairs.x[:, 0], pairs.t, pairs.y
+    xp, tp, yp = pairs.xp[:, 0], pairs.tp, pairs.yp
     rng = np.random.default_rng(derive_seed(seed, "corr-draws"))
     risks = np.empty(n_draws)
     fact = np.empty(n_draws)
@@ -81,8 +84,8 @@ def gp_correlation_toy(config=None, n_draws=200, seed=0) -> dict:
         risks[i] = ite_risk_quadrature(toy.grid, toy.weights, toy.tau, tau_hat)
         pred = toy.mu_values(ds.x[:, 0], ds.t, mu0_hat, tau_hat)
         fact[i] = np.mean((ds.y - pred) ** 2)
-        r = pairs.y - toy.mu_values(pairs.x[:, 0], pairs.t, mu0_hat, tau_hat)
-        rp = pairs.yp - toy.mu_values(pairs.xp[:, 0], pairs.tp, mu0_hat, tau_hat)
+        r = y - toy.mu_values(x, t, mu0_hat, tau_hat)
+        rp = yp - toy.mu_values(xp, tp, mu0_hat, tau_hat)
         pair_full[i] = np.mean((r - rp) ** 2)
         pair_zero[i] = np.mean(r**2 + rp**2)
     return {

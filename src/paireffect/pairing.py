@@ -14,6 +14,10 @@ log(E), E ~ Exp(1), are a Gumbel top-k: k successive softmax draws without
 replacement, exact at any temperature.  Anchors with fewer than k eligible
 candidates draw k with replacement; those with none are skipped.
 
+A pair set holds row positions into its anchor and candidate tables; its
+columns (x, t, y, xp, tp, yp, anchor_idx, nbr_idx) are read-only gathers
+through them, so a table must not be changed after pairing.
+
 Determinism: one generator per call, seeded by rng_seed, draws in order the
 continuous targets, one exponential per eligible (anchor, candidate) entry
 in (target, t) order, and the with-replacement rows.  Neither the block size
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -112,47 +116,46 @@ class PairingConfig:
     def __post_init__(self):
         if not 0.0 <= self.delta_pair < 1.0:
             raise ValueError("delta_pair must lie in [0, 1)")
-        if self.num_neighbors < 1:
-            raise ValueError("num_neighbors must be >= 1")
+        if type(self.num_neighbors) is not int or self.num_neighbors < 1:
+            raise ValueError("num_neighbors must be an int >= 1, not "
+                             f"{self.num_neighbors!r}")
         if self.temperature < 0.0:
             raise ValueError("temperature must be non-negative")
         if self.continuous_halfwidth <= 0.0:
             raise ValueError("continuous_halfwidth must be positive")
 
 
+def _gather(table, positions, *columns):
+    """Read-only pair columns: each of `columns` of `table` at `positions`."""
+    return [property(lambda self, c=c: getattr(getattr(self, table), c)[
+        getattr(self, positions)]) for c in columns]
+
+
 @dataclass
 class PairDataset:
-    """Columnar pair records: anchor (x, t, y) with neighbor (xp, tp, yp)."""
+    """Pairs as row positions: anchor rows[i] of `anchors` with neighbor
+    nbr_rows[i] of `candidates`; each column read is a fresh gather."""
 
-    anchor_idx: np.ndarray
-    nbr_idx: np.ndarray
-    x: np.ndarray
-    t: np.ndarray
-    y: np.ndarray
-    xp: np.ndarray
-    tp: np.ndarray
-    yp: np.ndarray
+    anchors: Dataset
+    candidates: Dataset
+    rows: np.ndarray
+    nbr_rows: np.ndarray
     distance: np.ndarray
     target_t: np.ndarray | None = None   # continuous mode: per-pair drawn t'
     provenance: dict = field(default_factory=dict)
 
+    anchor_idx, x, t, y = _gather("anchors", "rows", "ids", "x", "t", "y")
+    nbr_idx, xp, tp, yp = _gather("candidates", "nbr_rows", "ids", "x", "t", "y")
+
     def __len__(self):
-        return len(self.t)
+        return len(self.rows)
 
     def subset(self, idx) -> "PairDataset":
-        idx = np.asarray(idx)
-        return PairDataset(
-            anchor_idx=self.anchor_idx[idx],
-            nbr_idx=self.nbr_idx[idx],
-            x=self.x[idx],
-            t=self.t[idx],
-            y=self.y[idx],
-            xp=self.xp[idx],
-            tp=self.tp[idx],
-            yp=self.yp[idx],
+        """Pairs idx, an index array or a slice (which gives views)."""
+        return replace(
+            self, rows=self.rows[idx], nbr_rows=self.nbr_rows[idx],
             distance=self.distance[idx],
             target_t=None if self.target_t is None else self.target_t[idx],
-            provenance=self.provenance,
         )
 
     def content_hash(self) -> str:
@@ -286,21 +289,12 @@ def create_pair_ds(anchors: Dataset, candidates: Dataset,
     keep = int(np.floor((1.0 - config.delta_pair) * len(dists) + 0.5))
     # keep assembly order (anchor, then draw) among the retained pairs
     order = np.sort(np.argsort(dists, kind="stable")[:keep])
-    rows_a, rows_c = np.repeat(paired, k)[order], nbr[paired].ravel()[order]
+    rows_a = np.repeat(paired, k)[order]
     return PairDataset(
-        anchor_idx=anchors.ids[rows_a],
-        nbr_idx=candidates.ids[rows_c],
-        x=anchors.x[rows_a],
-        t=anchors.t[rows_a],
-        y=anchors.y[rows_a],
-        xp=candidates.x[rows_c],
-        tp=candidates.t[rows_c],
-        yp=candidates.y[rows_c],
+        anchors, candidates, rows_a, nbr[paired].ravel()[order],
         distance=dists[order],
         target_t=target[rows_a] if mode == CONTINUOUS else None,
         provenance={
-            "anchor_source": anchors.source,
-            "candidate_source": candidates.source,
             "seed": int(rng_seed),
             "skipped_anchors": int(len(anchors) - len(paired)),
             "fallback_anchors": len(short),
@@ -343,16 +337,11 @@ def neighbor_diagnostics(pairs: PairDataset) -> dict:
 
 
 def save_pairs_csv(pairs: PairDataset, path) -> None:
+    # each column read is a gather, so read them once
+    columns = (pairs.anchor_idx, pairs.nbr_idx, pairs.t, pairs.y, pairs.tp,
+               pairs.yp, pairs.distance)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["anchor_idx", "nbr_idx", "t", "y", "t_prime", "y_prime", "distance"])
-        for i in range(len(pairs)):
-            writer.writerow([
-                int(pairs.anchor_idx[i]),
-                int(pairs.nbr_idx[i]),
-                repr(float(pairs.t[i])),
-                repr(float(pairs.y[i])),
-                repr(float(pairs.tp[i])),
-                repr(float(pairs.yp[i])),
-                repr(float(pairs.distance[i])),
-            ])
+        for anchor, nbr, *values in zip(*columns):
+            writer.writerow([int(anchor), int(nbr), *(repr(float(v)) for v in values)])

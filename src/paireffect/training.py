@@ -23,7 +23,7 @@ from . import losses, nets
 from .datagen import BINARY, Dataset, split_stratified
 from .losses import LossConfig
 from .metrics import paired_t_test_one_sided, pehe
-from .models import DEEP, build_model, predict_outcomes, predict_ites
+from .models import DEEP, SHALLOW, build_model, predict_outcomes, predict_ites
 from .nets import RegConfig
 from .pairing import (
     IdentityEmbedding,
@@ -75,6 +75,8 @@ class TrainConfig:
             raise ValueError("val_fraction must lie in (0, 1)")
         if self.psi not in _PSI_KINDS:
             raise ValueError(f"unknown psi kind {self.psi!r}")
+        if self.arch not in (DEEP, SHALLOW):
+            raise ValueError(f"unknown arch {self.arch!r}")
 
     @classmethod
     def from_dict(cls, doc) -> "TrainConfig":
@@ -204,18 +206,18 @@ def train(ds: Dataset, config: TrainConfig):
             pair_hashes.append(data.content_hash())
         else:
             data = train_ds
+        # one shuffle per epoch; minibatches are slices (views) of it
         rng = np.random.default_rng(derive_seed(config.seed, "shuffle", epoch))
-        perm = rng.permutation(len(data))
+        data = data.subset(rng.permutation(len(data)))
         total = 0.0
-        for lo in range(0, len(perm), config.batch_size):
-            rows = perm[lo:lo + config.batch_size]
-            batch = data.subset(rows)
+        for lo in range(0, len(data), config.batch_size):
+            batch = data.subset(slice(lo, lo + config.batch_size))
             value, grads = nets.loss_and_gradient(
                 model, batch, objective, config.reg
             )
             model.params, state = nets.adam_step(model.params, grads, state)
-            total += value * len(rows)
-        train_losses.append(total / len(perm))
+            total += value * len(batch)
+        train_losses.append(total / len(data))
         val = losses.objective_value(model, val_batch, objective)
         if not np.isfinite(val):
             raise nets.NonFiniteValue(f"validation loss {val} at epoch {epoch}")

@@ -16,7 +16,6 @@ from paireffect.datagen import (
     gen_polynomial_synth,
     gp_factor,
     load_csv,
-    sample_gp,
     save_csv,
     split_stratified,
 )
@@ -31,6 +30,12 @@ def test_dataset_validation():
         Dataset(x=np.zeros((2, 1)), t=np.zeros(3), y=np.zeros(3))
     with pytest.raises(ValueError):
         Dataset(x=np.zeros((2, 1)), t=np.zeros(2), y=np.zeros(2), mode="dose")
+    # malformed shapes are rejected on entry, naming the field
+    for field, cols in (("ids", {"ids": [0, 1]}), ("t", {"t": np.zeros((6, 1))}),
+                        ("x", {"x": np.zeros((6, 2, 1))})):
+        with pytest.raises(ValueError, match=f"dataset {field} must"):
+            Dataset(**{"x": np.zeros((6, 2)), "t": np.zeros(6),
+                       "y": np.zeros(6), **cols})
 
 
 @pytest.mark.parametrize("field", ["x", "t", "y"])
@@ -112,9 +117,9 @@ def test_gp_factor_matches_kernel():
 
 def test_sample_gp_smoothness_scales_with_width():
     xs = np.linspace(-2, 2, 200)
-    rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
-    rough = sample_gp(xs, 0.1, rng1)
-    smooth = sample_gp(xs, 2.0, rng2)
+    z = np.random.default_rng(5).standard_normal(len(xs))
+    rough = gp_factor(xs, 0.1) @ z
+    smooth = gp_factor(xs, 2.0) @ z
     assert np.std(np.diff(rough)) > 5 * np.std(np.diff(smooth))
 
 
@@ -238,3 +243,19 @@ def test_subset_keeps_oracle_alignment():
     ds = gen_polynomial_synth(60, np.random.default_rng(13))
     sub = ds.subset(np.arange(10, 20))
     assert np.allclose(sub.true_mu(1.0), ds.true_mu(1.0)[10:20])
+
+
+def test_subset_slice_is_a_view_sharing_the_table():
+    ds = gen_polynomial_synth(60, np.random.default_rng(13))
+    sub = ds.subset(slice(10, 20))
+    for name in ("x", "t", "y", "ids"):
+        assert np.shares_memory(getattr(sub, name), getattr(ds, name))
+    assert np.array_equal(sub.ids, np.arange(10, 20))
+    assert (sub.source, sub.oracle, sub.mode) == (ds.source, ds.oracle, ds.mode)
+
+
+@pytest.mark.parametrize("idx", [[], slice(5, 5), np.zeros(60, dtype=bool)])
+def test_empty_subset_raises(idx):
+    ds = gen_polynomial_synth(60, np.random.default_rng(13))
+    with pytest.raises(ValueError, match="at least one row"):
+        ds.subset(idx)

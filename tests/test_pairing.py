@@ -31,8 +31,9 @@ def test_pairing_config_validation():
         PairingConfig(temperature=-1.0)
     with pytest.raises(ValueError):
         PairingConfig(delta_pair=1.0)
-    with pytest.raises(ValueError):
-        PairingConfig(num_neighbors=0)
+    for k in (0, 2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="num_neighbors"):
+            PairingConfig(num_neighbors=k)
 
 
 def test_same_seed_gives_bit_identical_pairs():
@@ -164,6 +165,40 @@ def test_pair_dataset_subset_and_len():
     sub = pairs.subset(np.arange(5))
     assert len(sub) == 5
     assert np.array_equal(sub.anchor_idx, pairs.anchor_idx[:5])
+
+
+def _continuous_pairs():
+    rng = np.random.default_rng(8)
+    ds = Dataset(x=rng.normal(size=(70, 3)), t=rng.uniform(size=70),
+                 y=rng.normal(size=70), mode=CONTINUOUS)
+    cfg = PairingConfig(num_neighbors=2, continuous_halfwidth=0.1)
+    return create_pair_ds(ds.subset(np.arange(30)), ds, cfg,
+                          IdentityEmbedding(3), 4)
+
+
+@pytest.mark.parametrize("make", ["binary", "continuous", "permuted"])
+def test_pair_columns_are_gathers_from_their_tables(make):
+    if make == "continuous":
+        pairs = _continuous_pairs()
+    else:
+        pairs = quick_pairs(seed=6, num_neighbors=3)
+    if make == "permuted":
+        pairs = pairs.subset(np.random.default_rng(2).permutation(len(pairs)))
+    a, c = pairs.anchors, pairs.candidates
+    for name, table in (("x", a.x), ("t", a.t), ("y", a.y), ("anchor_idx", a.ids)):
+        assert np.array_equal(getattr(pairs, name), table[pairs.rows])
+    for name, table in (("xp", c.x), ("tp", c.t), ("yp", c.y), ("nbr_idx", c.ids)):
+        assert np.array_equal(getattr(pairs, name), table[pairs.nbr_rows])
+    assert len(pairs.rows) == len(pairs.nbr_rows) == len(pairs.distance)
+
+
+def test_pair_subset_slice_is_a_view():
+    pairs = _continuous_pairs()
+    sub = pairs.subset(slice(3, 9))
+    assert len(sub) == 6
+    for name in ("rows", "nbr_rows", "distance", "target_t"):
+        assert np.shares_memory(getattr(sub, name), getattr(pairs, name))
+    assert sub.anchors is pairs.anchors and sub.candidates is pairs.candidates
 
 
 def test_diagnostics_report_distance_moments():

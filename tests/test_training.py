@@ -49,6 +49,30 @@ def test_config_validation():
         TrainConfig(psi="learned")
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
+    with pytest.raises(ValueError, match="arch"):
+        TrainConfig(arch="wide")
+    for k in (2.5, 3.0):
+        with pytest.raises(ValueError, match="num_neighbors"):
+            TrainConfig.from_dict({"pairing": {"num_neighbors": k}})
+
+
+def test_training_does_not_revalidate_rows(monkeypatch):
+    ds = binary_dataset(n=120)
+    calls = []
+    check = Dataset.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        check(self)
+
+    monkeypatch.setattr(Dataset, "__post_init__", counted)
+    counts = []
+    for batch_size in (10, 100):
+        calls.clear()
+        train(ds, fast_config(loss=LossConfig(kind="factual"),
+                              batch_size=batch_size))
+        counts.append(len(calls))
+    assert counts == [0, 0]
 
 
 def test_config_hash_tracks_content():
