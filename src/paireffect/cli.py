@@ -34,16 +34,14 @@ from .experiments import gp_correlation_toy, mmd_shift_toy, run_experiment
 from .losses import KINDS
 from .models import load_model, save_model
 from .pairing import (
-    IdentityEmbedding,
     PairingConfig,
     PhiEmbedding,
-    RandomProjectionEmbedding,
     create_pair_ds,
-    derive_seed,
     neighbor_diagnostics,
     save_pairs_csv,
 )
-from .training import TrainConfig, compare_methods, evaluate_pehe, train
+from .training import (TrainConfig, compare_methods, evaluate_pehe,
+                       fixed_embedding, train)
 
 OUT_DIR_ENV = "PAIREFFECT_OUT_DIR"
 
@@ -102,11 +100,7 @@ def _cmd_gen(args) -> int:
 def _provider_from_args(args, ds):
     if args.psi_model:
         return PhiEmbedding(load_model(args.psi_model))
-    if args.psi == "random_projection":
-        return RandomProjectionEmbedding(
-            ds.dim, ds.dim, seed=derive_seed(args.seed, "proj")
-        )
-    return IdentityEmbedding(ds.dim)
+    return fixed_embedding(args.psi, ds.dim, args.seed)
 
 
 def _cmd_pairs(args) -> int:
@@ -203,52 +197,9 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    out = {}
-    ok = True
-    if args.suite in ("all", "lemma"):
-        rng = np.random.default_rng(args.seed)
-        gaps = [
-            theory.verify_lemma_identity(theory.random_scene(rng))["gap"]
-            for _ in range(args.scenes)
-        ]
-        out["lemma"] = {"scenes": args.scenes, "max_gap": max(gaps),
-                        "ok": max(gaps) <= 1e-10}
-        ok &= out["lemma"]["ok"]
-    if args.suite in ("all", "bound"):
-        rng = np.random.default_rng(args.seed + 1)
-        holds, margins = [], []
-        for _ in range(args.scenes):
-            res = theory.verify_ite_bound(theory.random_scene(rng, max_degree=1))
-            holds.append(res["holds"])
-            margins.append(res["bound"] - res["eps_ite"])
-        tighter = []
-        rng = np.random.default_rng(args.seed + 2)
-        for _ in range(10):
-            res = theory.verify_ite_bound(theory.confounded_scene(rng))
-            tighter.append(res["ipm_term"] < res["w1_p0_p1"])
-        out["bound"] = {
-            "scenes": args.scenes,
-            "all_hold": all(holds),
-            "min_margin": min(margins),
-            "confounded_tighter": int(sum(tighter)),
-            "ok": all(holds) and all(tighter),
-        }
-        ok &= out["bound"]["ok"]
-    if args.suite in ("all", "sweep"):
-        rows = theory.consistency_sweep(seed=args.seed)
-        control = theory.consistency_sweep(overlap=theory.VIOLATED,
-                                           seed=args.seed)
-        ratio = rows[-1]["delta_hat"] / rows[0]["delta_hat"]
-        control_ratio = control[-1]["delta_hat"] / control[0]["delta_hat"]
-        out["sweep"] = {
-            "delta_ratio": ratio,
-            "violated_delta_ratio": control_ratio,
-            "rows": rows,
-            "ok": ratio < 0.5 and control_ratio > 0.9,
-        }
-        ok &= out["sweep"]["ok"]
-    _emit(out)
-    if not ok:
+    report = theory.verify(args.suite, args.scenes, args.seed)
+    _emit(report)
+    if not all(suite["ok"] for suite in report.values()):
         raise RuntimeError("one or more verification suites failed")
     return 0
 

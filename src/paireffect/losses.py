@@ -24,17 +24,6 @@ PAIR_BINARY = "pair_binary"
 KINDS = (FACTUAL, PAIR, PAIR_ALPHA, MATCHING, PAIR_BINARY)
 
 PROB_CLAMP = 1e-12
-_clamp_count = 0
-
-
-def clamp_count() -> int:
-    """How many cross-entropy targets have been clamped at PROB_CLAMP."""
-    return _clamp_count
-
-
-def reset_clamp_count() -> None:
-    global _clamp_count
-    _clamp_count = 0
 
 
 @dataclass
@@ -138,7 +127,12 @@ class PairBinaryObjective:
     Model outputs pass through a sigmoid to give p = P(outcome = 0); with
     a = p(anchor | its arm) and b = p(neighbor | its arm), the label
     y - y' in {-1, 0, +1} has probabilities a(1-b), ab + (1-a)(1-b), (1-a)b.
+    clamped_targets counts the probabilities this objective has clamped at
+    PROB_CLAMP.
     """
+
+    def __init__(self):
+        self.clamped_targets = 0
 
     def requests(self, model, batch):
         if not (np.all((batch.y == 0) | (batch.y == 1))
@@ -150,7 +144,6 @@ class PairBinaryObjective:
         return x, heads, extras
 
     def value_and_output_grads(self, outputs, batch):
-        global _clamp_count
         m = len(batch)
         a = _sigmoid(outputs[:m])
         b = _sigmoid(outputs[m:])
@@ -165,8 +158,7 @@ class PairBinaryObjective:
         dp_db = np.where(label == -1, -a,
                          np.where(label == 0, 2.0 * a - 1.0, 1.0 - a))
 
-        clamped = p < PROB_CLAMP
-        _clamp_count += int(np.sum(clamped))
+        self.clamped_targets += int(np.sum(p < PROB_CLAMP))
         p = np.maximum(p, PROB_CLAMP)
         value = float(np.mean(-np.log(p)))
         d_a = (-dp_da / p) * a * (1.0 - a) / m

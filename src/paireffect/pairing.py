@@ -52,8 +52,6 @@ def derive_seed(*parts) -> int:
 
 
 class IdentityEmbedding:
-    kind = "identity"
-
     def __init__(self, dim):
         self.output_dim = dim
 
@@ -68,8 +66,6 @@ class IdentityEmbedding:
 
 class RandomProjectionEmbedding:
     """Fixed Gaussian projection, scaled by 1/sqrt(output_dim)."""
-
-    kind = "random_projection"
 
     def __init__(self, in_dim, out_dim, seed=0):
         self.in_dim = in_dim
@@ -86,8 +82,6 @@ class RandomProjectionEmbedding:
 
 class PhiEmbedding:
     """Frozen representation chain of a trained model."""
-
-    kind = "phi"
 
     def __init__(self, model):
         self.phi_specs = list(model.phi_specs)

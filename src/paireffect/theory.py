@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .datagen import Dataset, Oracle
+from .datagen import Dataset
 from .metrics import wasserstein1_1d
 from .pairing import (PairingConfig, IdentityEmbedding, create_pair_ds,
                       neighbor_diagnostics, derive_seed)
@@ -302,12 +302,8 @@ def _sweep_dataset(n, overlap, rng) -> Dataset:
     else:
         raise ValueError(f"unknown overlap regime {overlap!r}")
 
-    def oracle_fn(ids, xs, tv):
-        return np.sin(xs[:, 0]) + tv * (1.0 + 0.5 * np.cos(xs[:, 0]))
-
-    y = oracle_fn(None, x[:, None], t) + rng.normal(0.0, 0.1, size=n)
-    return Dataset(x=x[:, None], t=t, y=y, mode="binary",
-                   oracle=Oracle(fn=oracle_fn, noise_sd=0.1))
+    # pairs and the W1 rows read only x and t
+    return Dataset(x=x[:, None], t=t, y=np.zeros(n), mode="binary")
 
 
 def consistency_sweep(sizes=(100, 400, 1600, 6400), overlap=STRICT,
@@ -342,3 +338,49 @@ def consistency_sweep(sizes=(100, 400, 1600, 6400), overlap=STRICT,
             )
         rows.append(row)
     return rows
+
+
+def verify(suite, scenes, seed) -> dict:
+    """Run one check suite, or "all", and report each under its name with
+    an `ok` verdict.  lemma: the identity's defect stays within 1e-10 on
+    `scenes` random scenes.  bound: the bound holds on `scenes` random
+    linear-residual scenes, and the IPM term stays below W1(p_0, p_1) on
+    ten confounded ones.  sweep (no scenes): delta_hat at least halves
+    from n = 100 to 6400 under strict overlap and keeps over 90 % of its
+    value without overlap."""
+    if suite not in ("all", "lemma", "bound", "sweep"):
+        raise ValueError(f"unknown verify suite {suite!r}")
+    out = {}
+    if suite in ("all", "lemma"):
+        rng = np.random.default_rng(seed)
+        max_gap = max(verify_lemma_identity(random_scene(rng))["gap"]
+                      for _ in range(scenes))
+        out["lemma"] = {"scenes": scenes, "max_gap": max_gap,
+                        "ok": max_gap <= 1e-10}
+    if suite in ("all", "bound"):
+        rng = np.random.default_rng(seed + 1)
+        results = [verify_ite_bound(random_scene(rng, max_degree=1))
+                   for _ in range(scenes)]
+        rng = np.random.default_rng(seed + 2)
+        confounded = [verify_ite_bound(confounded_scene(rng)) for _ in range(10)]
+        tighter = [res["ipm_term"] < res["w1_p0_p1"] for res in confounded]
+        all_hold = all(res["holds"] for res in results)
+        out["bound"] = {
+            "scenes": scenes,
+            "all_hold": all_hold,
+            "min_margin": min(res["margin"] for res in results),
+            "confounded_tighter": int(sum(tighter)),
+            "ok": all_hold and all(tighter),
+        }
+    if suite in ("all", "sweep"):
+        rows = consistency_sweep(seed=seed)
+        control = consistency_sweep(overlap=VIOLATED, seed=seed)
+        ratio = rows[-1]["delta_hat"] / rows[0]["delta_hat"]
+        control_ratio = control[-1]["delta_hat"] / control[0]["delta_hat"]
+        out["sweep"] = {
+            "delta_ratio": ratio,
+            "violated_delta_ratio": control_ratio,
+            "rows": rows,
+            "ok": ratio < 0.5 and control_ratio > 0.9,
+        }
+    return out

@@ -135,16 +135,20 @@ def _params_hash(model) -> str:
     return hashlib.sha256(model.params.to_json().encode()).hexdigest()[:16]
 
 
+def fixed_embedding(psi, dim, seed):
+    """The untrained pair embedding of `dim` columns: the seeded random
+    projection for psi="random_projection", else the identity."""
+    if psi == PSI_RANDOM:
+        return RandomProjectionEmbedding(dim, dim,
+                                         seed=derive_seed(seed, "proj"))
+    return IdentityEmbedding(dim)
+
+
 def _embedding_provider(config: TrainConfig, ds: Dataset):
     """The pair-distance embedding; psi="factual" trains a factual-loss
     model first (same early-stopping rule) and freezes its representation."""
-    if config.psi == PSI_IDENTITY:
-        return IdentityEmbedding(ds.dim), None
-    if config.psi == PSI_RANDOM:
-        proj = RandomProjectionEmbedding(
-            ds.dim, ds.dim, seed=derive_seed(config.seed, "proj")
-        )
-        return proj, None
+    if config.psi != PSI_FACTUAL:
+        return fixed_embedding(config.psi, ds.dim, config.seed), None
     inner = replace(config, loss=LossConfig(kind=losses.FACTUAL),
                     psi=PSI_IDENTITY, seed=derive_seed(config.seed, "psi"))
     psi_model, psi_record = train(ds, inner)
@@ -233,6 +237,8 @@ def train(ds: Dataset, config: TrainConfig):
             break
 
     model.params = best_params
+    if config.loss.kind == losses.PAIR_BINARY:
+        notes["clamped_targets"] = objective.clamped_targets
     record = RunRecord(
         config_hash=chash,
         train_losses=train_losses,

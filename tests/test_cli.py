@@ -71,6 +71,25 @@ def test_pairs_command_reports_diagnostics(tmp_path, capsys):
     assert doc["delta_hat"] >= doc["mean_distance"] > 0.0
 
 
+def test_pairs_random_projection_matches_training_embedding(tmp_path, capsys):
+    from paireffect.pairing import PairingConfig, create_pair_ds, save_pairs_csv
+    from paireffect.training import PSI_RANDOM, TrainConfig, _embedding_provider
+
+    data = tmp_path / "data.csv"
+    assert main(["gen", "polynomial", "--n", "80", "--out", str(data)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "pairs.csv"
+    rc, _ = run_cli(capsys, "pairs", "--data", str(data), "--out", str(out),
+                    "--psi", "random_projection", "--seed", "3")
+    assert rc == 0
+    ds = load_csv(data)
+    provider, _ = _embedding_provider(TrainConfig(psi=PSI_RANDOM, seed=3), ds)
+    expected = tmp_path / "expected.csv"
+    save_pairs_csv(create_pair_ds(ds, ds, PairingConfig(), provider, 3),
+                   expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
 def test_train_eval_round_trip(tmp_path, capsys):
     data = tmp_path / "data.csv"
     assert main(["gen", "polynomial", "--n", "80", "--seed", "2",
@@ -179,6 +198,27 @@ def test_verify_lemma_suite(capsys):
     assert rc == 0
     assert doc["lemma"]["ok"] is True
     assert doc["lemma"]["max_gap"] <= 1e-10
+
+
+@pytest.mark.parametrize("suite", ["bound", "sweep"])
+def test_verify_single_suite_reports_only_itself(suite, capsys):
+    rc, doc = run_cli(capsys, "verify", "--suite", suite, "--scenes", "5")
+    assert rc == 0
+    assert list(doc) == [suite]
+    assert doc[suite]["ok"] is True
+
+
+def test_failing_verify_suite_prints_report_then_exits_1(capsys, monkeypatch):
+    from paireffect import theory
+
+    monkeypatch.setattr(theory, "verify_lemma_identity",
+                        lambda scene: {"gap": 1.0})
+    rc = main(["verify", "--suite", "lemma", "--scenes", "3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert json.loads(captured.out) == {
+        "lemma": {"scenes": 3, "max_gap": 1.0, "ok": False}}
+    assert json.loads(captured.err)["error"] == "RuntimeError"
 
 
 def test_toy_mmd_small(capsys):

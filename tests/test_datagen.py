@@ -10,6 +10,7 @@ from paireffect.datagen import (
     FAMILIES,
     GPToyConfig,
     MissingGroundTruth,
+    Oracle,
     gen_continuous_response,
     gen_gaussian_confounded,
     gen_gp_toy,
@@ -237,6 +238,83 @@ def test_split_stratified_deterministic():
     t1, v1 = split_stratified(ds, 0.3, rng=np.random.default_rng(5))
     t2, v2 = split_stratified(ds, 0.3, rng=np.random.default_rng(5))
     assert np.array_equal(t1.ids, t2.ids) and np.array_equal(v1.ids, v2.ids)
+
+
+def _expected_val_count(fraction, n):
+    return min(max(int(np.floor(fraction * n + 0.5)), 1), n - 1)
+
+
+def test_split_stratified_properties():
+    rng = np.random.default_rng(40)
+    for _ in range(200):
+        n = int(rng.integers(4, 120))
+        fraction = float(rng.uniform(0.01, 0.99))
+        if rng.uniform() < 0.5:
+            t = np.zeros(n)
+            t[rng.choice(n, int(rng.integers(2, n - 1)), replace=False)] = 1.0
+            mode = BINARY
+        else:
+            t, mode = rng.uniform(size=n), CONTINUOUS
+        ds = Dataset(x=rng.normal(size=(n, 2)), t=t, y=rng.normal(size=n),
+                     mode=mode)
+        train, val = split_stratified(ds, fraction,
+                                      rng=np.random.default_rng(n))
+        # disjoint, and together every row exactly once
+        assert not set(train.ids) & set(val.ids)
+        assert np.array_equal(np.sort(np.concatenate([train.ids, val.ids])),
+                              np.arange(n))
+        if mode == CONTINUOUS:
+            assert len(val) == _expected_val_count(fraction, n)
+            continue
+        for g in (0.0, 1.0):
+            n_g = int(np.sum(t == g))
+            assert np.sum(val.t == g) == _expected_val_count(fraction, n_g)
+            assert np.sum(train.t == g) > 0
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def test_csv_round_trip_properties(tmp_path):
+    rng = np.random.default_rng(41)
+    for trial in range(40):
+        n = int(rng.integers(1, 30))
+        mode = (BINARY, CONTINUOUS)[trial % 2]
+        with_oracle = trial % 4 >= 2
+        family = FAMILIES[int(rng.integers(len(FAMILIES)))]
+        d = 25 if mode == CONTINUOUS and family == "ihdp_cont" else int(
+            rng.integers(1 if mode == BINARY else 3, 7))
+        if mode == CONTINUOUS and with_oracle:
+            ds = gen_continuous_response(rng.normal(size=(n, d)), family,
+                                         rng=np.random.default_rng(trial))
+        else:
+            # wide magnitudes, so a lossy float format would show
+            x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-200, 200, (n, d))
+            t = (rng.integers(0, 2, n).astype(float) if mode == BINARY
+                 else rng.uniform(size=n))
+            y = rng.normal(size=n) * 10.0 ** rng.uniform(-200, 200, n)
+            oracle = None
+            if with_oracle:
+                table = rng.normal(size=(n, 2)) * 1e-7
+
+                def fn(ids, xs, tv, _table=table):
+                    return np.where(tv == 1.0, _table[ids, 1],
+                                    _table[ids, 0])
+
+                oracle = Oracle(fn=fn)
+            ds = Dataset(x=x, t=t, y=y, mode=mode, oracle=oracle)
+        path = tmp_path / f"trial{trial}.csv"
+        save_csv(ds, path)
+        back = load_csv(path, mode)
+        for name in ("x", "t", "y"):
+            assert _bits(getattr(back, name)) == _bits(getattr(ds, name))
+        assert (back.oracle is None) == (not with_oracle)
+        if with_oracle:
+            # mu0/mu1 columns (binary) or the descriptor sidecar (continuous)
+            doses = (0.0, 1.0) if mode == BINARY else (0.0, 0.4, ds.t)
+            for dose in doses:
+                assert _bits(back.true_mu(dose)) == _bits(ds.true_mu(dose))
 
 
 def test_subset_keeps_oracle_alignment():

@@ -6,13 +6,11 @@ import pytest
 from paireffect import losses
 from paireffect.losses import (
     LossConfig,
-    clamp_count,
     factual_loss,
     matching_loss,
     pair_loss,
     pair_loss_binary,
     pair_loss_decomposition,
-    reset_clamp_count,
 )
 from paireffect.models import build_model, predict_outcomes
 from paireffect.nets import RegConfig, finite_diff_check
@@ -96,7 +94,6 @@ def test_pair_binary_symmetric_point_cross_entropy(small_model, rng):
 
 
 def test_pair_binary_clamp_counter(small_model, rng):
-    reset_clamp_count()
     batch = random_pair_batch(rng, n=16, binary_outcomes=True)
     batch.y[:] = 1.0
     batch.yp[:] = 0.0  # label +1 for every pair
@@ -104,10 +101,10 @@ def test_pair_binary_clamp_counter(small_model, rng):
     # p(+1) = (1-a)b with a ~ 1, b ~ 0: probability underflows the clamp
     outputs = np.concatenate([np.full(16, 40.0), np.full(16, -40.0)])
     value, _ = obj.value_and_output_grads(outputs, batch)
-    assert clamp_count() == 16
+    assert obj.clamped_targets == 16
     assert np.isfinite(value)
-    reset_clamp_count()
-    assert clamp_count() == 0
+    # the count belongs to the instance
+    assert losses.PairBinaryObjective().clamped_targets == 0
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -10,6 +10,7 @@ from paireffect.theory import (
     random_scene,
     scene_functionals,
     scene_pair_loss_via_losses,
+    verify,
     verify_ite_bound,
     verify_lemma_identity,
 )
@@ -123,3 +124,8 @@ def test_sweep_distances_plateau_without_overlap():
 def test_sweep_rejects_unknown_regime():
     with pytest.raises(ValueError):
         consistency_sweep(sizes=(50,), overlap="partial")
+
+
+def test_verify_rejects_unknown_suite():
+    with pytest.raises(ValueError, match="unknown verify suite"):
+        verify("lemmas", 5, 0)

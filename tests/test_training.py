@@ -177,7 +177,7 @@ def test_pair_binary_requires_binary_outcomes():
         train(ds, fast_config(loss=LossConfig(kind="pair_binary")))
 
 
-def test_pair_binary_trains_on_binary_outcomes():
+def _binary_outcome_dataset():
     from paireffect.datagen import Oracle
 
     rng = np.random.default_rng(8)
@@ -189,13 +189,33 @@ def test_pair_binary_trains_on_binary_outcomes():
         return 1.0 / (1.0 + np.exp(-(xs[:, 0] + tv)))
 
     y = (rng.uniform(size=n) < prob_one(None, x, t)).astype(float)
-    ds = Dataset(x=x, t=t, y=y, mode="binary",
-                 oracle=Oracle(fn=prob_one, noise_sd=0.0))
+    return Dataset(x=x, t=t, y=y, mode="binary",
+                   oracle=Oracle(fn=prob_one, noise_sd=0.0))
+
+
+def test_pair_binary_trains_on_binary_outcomes():
+    ds = _binary_outcome_dataset()
     model, rec = train(ds, fast_config(loss=LossConfig(kind="pair_binary"),
                                        max_epochs=4))
     assert rec.stop_epoch >= 1
     # PEHE on probability outputs stays within the probability scale
     assert evaluate_pehe(model, ds, probability_outputs=True) <= 1.0
+
+
+def test_pair_binary_runs_count_their_own_clamped_targets(monkeypatch):
+    from paireffect import losses
+
+    ds = _binary_outcome_dataset()
+    # a clamp at 0.3 catches many targets, so a shared count would add up
+    monkeypatch.setattr(losses, "PROB_CLAMP", 0.3)
+    config = fast_config(loss=LossConfig(kind="pair_binary"), max_epochs=2)
+    _, first = train(ds, config)
+    _, other = train(ds, fast_config(loss=LossConfig(kind="pair_binary"),
+                                     max_epochs=1, seed=6))
+    _, again = train(ds, config)
+    assert first.notes["clamped_targets"] > 0
+    assert again.notes["clamped_targets"] == first.notes["clamped_targets"]
+    assert other.notes["clamped_targets"] > 0
 
 
 def test_psi_variants_change_pairing_not_contract():
