@@ -9,6 +9,8 @@ metrics and statistics, finite-support checks for the underlying risk
 identities and bounds, and a seeded experiment harness.
 """
 
+from types import ModuleType as _Module
+
 from .datagen import (
     BINARY,
     CONTINUOUS,
@@ -75,65 +77,6 @@ from .experiments import gp_correlation_toy, mmd_shift_toy, run_experiment
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BINARY",
-    "CONTINUOUS",
-    "Dataset",
-    "EmptyPairDataset",
-    "FiniteScene",
-    "GPToyConfig",
-    "IdentityEmbedding",
-    "LossConfig",
-    "MissingGroundTruth",
-    "NonFiniteValue",
-    "Oracle",
-    "PairDataset",
-    "PairingConfig",
-    "PhiEmbedding",
-    "RandomProjectionEmbedding",
-    "RegConfig",
-    "RunRecord",
-    "ShapeMismatch",
-    "TrainConfig",
-    "TwoHeadedNetwork",
-    "build_model",
-    "compare_methods",
-    "confounded_scene",
-    "consistency_sweep",
-    "create_pair_ds",
-    "derive_seed",
-    "evaluate_pehe",
-    "factual_loss",
-    "finite_diff_check",
-    "gen_continuous_response",
-    "gen_gaussian_confounded",
-    "gen_gp_toy",
-    "gen_polynomial_synth",
-    "gp_correlation_toy",
-    "load_csv",
-    "load_model",
-    "matching_loss",
-    "mmd_rbf",
-    "mmd_shift_toy",
-    "neighbor_diagnostics",
-    "paired_t_test_one_sided",
-    "pair_distances",
-    "pair_loss",
-    "pair_loss_binary",
-    "pair_loss_decomposition",
-    "pearson_corr",
-    "pehe",
-    "predict_ites",
-    "predict_outcomes",
-    "random_scene",
-    "run_experiment",
-    "save_csv",
-    "save_model",
-    "split_stratified",
-    "t_cdf",
-    "three_way_logits",
-    "train",
-    "verify_ite_bound",
-    "verify_lemma_identity",
-    "wasserstein1_1d",
-]
+# the public API is exactly the names imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _Module))

@@ -55,6 +55,13 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {value}")
+    return value
+
+
 def _out_path(path):
     base = os.environ.get(OUT_DIR_ENV)
     if base and not os.path.isabs(path):
@@ -322,7 +329,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the analytical check suites")
     p.add_argument("--suite", choices=["all", "lemma", "bound", "sweep"],
                    default="all")
-    p.add_argument("--scenes", type=int, default=50)
+    p.add_argument("--scenes", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 

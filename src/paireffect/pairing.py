@@ -7,10 +7,14 @@ Continuous treatments first draw a target t' ~ Uniform[0,1] per anchor and
 restrict candidates to a window around it; binary ones target 1 - t.
 
 Anchors are taken in blocks in target order and candidates sorted by t, so
-a block reads only the slab its windows span: distances gathered from a
+a block reads only the slab its windows span: distances read from a
 pair_distances table (training builds one per run) or computed on the fly,
-within _BLOCK_BYTES of temporaries.  The k smallest keys lambda * d +
-log(E), E ~ Exp(1), are a Gumbel top-k: k successive softmax draws without
+within _BLOCK_BYTES of temporaries.  Binary blocks are cut at the boundary
+between the two targets, so each block's slab is exactly the opposite arm
+and every entry in it is eligible: no mask, no same-arm entry, and a
+binary table holds only the cross-arm distances, n1 * n0 of them for one
+table paired with itself.  The k smallest keys lambda * d + log(E),
+E ~ Exp(1), are a Gumbel top-k: k successive softmax draws without
 replacement, exact at any temperature.  Anchors with fewer than k eligible
 candidates draw k with replacement; those with none are skipped.
 
@@ -174,28 +178,64 @@ def _distances(e_anchor, e_cand):
     they match it bit for bit whatever the block shape."""
     diff = e_cand - e_anchor[:, None, :]
     diff *= diff
-    return np.sqrt(np.add.reduce(diff, axis=-1))
+    # a one-term sum is that term
+    return np.sqrt(diff[..., 0] if diff.shape[-1] == 1
+                   else np.add.reduce(diff, axis=-1))
 
 
-def pair_distances(anchors: Dataset, candidates: Dataset, provider) -> np.ndarray:
-    """The full anchor x candidate distance table in the provider's
-    embedding, for reuse across create_pair_ds calls on the same tables."""
-    e_anchor = provider.embed(anchors.x)
-    e_cand = np.ascontiguousarray(provider.embed(candidates.x))
-    out = np.empty((len(anchors), len(candidates)))
+def _table(e_anchor, e_cand):
+    out = np.empty((len(e_anchor), len(e_cand)))
     rows = max(1, _BLOCK_BYTES // max(e_cand.nbytes, 1))
     for lo in range(0, len(out), rows):
         out[lo:lo + rows] = _distances(e_anchor[lo:lo + rows], e_cand)
     return out
 
 
+def _spans(anchors: Dataset, candidates: Dataset):
+    """(a0, a1, c0, c1) per target span: anchors a0:a1 in target order read
+    candidates c0:c1 in t order.  Binary: target 0 (treated anchors) reads
+    the control arm and target 1 the treated arm; continuous: one span."""
+    if anchors.mode != BINARY:
+        return [(0, len(anchors), 0, len(candidates))]
+    a_cut = int(np.count_nonzero(anchors.t == 1.0))
+    c_cut = int(np.count_nonzero(candidates.t == 0.0))
+    return [(0, a_cut, 0, c_cut), (a_cut, len(anchors), c_cut, len(candidates))]
+
+
+def pair_distances(anchors: Dataset, candidates: Dataset, provider) -> tuple:
+    """Distance blocks in the provider's embedding, one per target span, for
+    reuse across create_pair_ds calls on the same tables.
+
+    Binary: block g holds the distances from the anchors targeting g to the
+    candidates of arm g, rows and columns in table order within the arm;
+    same-arm entries are neither evaluated nor stored.  When both tables
+    hold the same rows, block 1 is block 0 transposed (a view), since
+    _distances is bitwise symmetric.  Continuous: one full anchor x
+    candidate block, columns in t order."""
+    e_anchor = provider.embed(anchors.x)
+    e_cand = provider.embed(candidates.x)
+    same = (np.array_equal(anchors.t, candidates.t)
+            and np.array_equal(e_anchor, e_cand))
+    e_cand = np.ascontiguousarray(
+        e_cand[np.argsort(candidates.t, kind="stable")])
+    if anchors.mode != BINARY:
+        return (_table(e_anchor, e_cand),)
+    e_anchor = e_anchor[np.argsort(1.0 - anchors.t, kind="stable")]
+    (a0, a1, c0, c1), (b0, b1, d0, d1) = _spans(anchors, candidates)
+    first = _table(e_anchor[a0:a1], e_cand[c0:c1])
+    return first, first.T if same else _table(e_anchor[b0:b1], e_cand[d0:d1])
+
+
 def _smallest_k(keys, k):
-    """Column indices of each row's k smallest keys in increasing order:
-    np.argsort(row, kind="stable")[:k] for every row, without sorting
-    every key, whenever a row's k-th and (k+1)-th keys differ."""
-    rows = np.arange(len(keys))[:, None]
-    top = np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)
-    return top[rows, np.argsort(keys[rows, top], axis=1, kind="stable")]
+    """Column indices of each row's k smallest keys in increasing order,
+    ties to the lower index: np.argsort(row, kind="stable")[:k] for every
+    row, as k successive row minima.  Overwrites the taken keys with inf."""
+    rows = np.arange(len(keys))
+    top = np.empty((len(keys), k), dtype=np.intp)
+    for j in range(k):
+        top[:, j] = np.argmin(keys, axis=1)
+        keys[rows, top[:, j]] = np.inf
+    return top
 
 
 def create_pair_ds(anchors: Dataset, candidates: Dataset,
@@ -204,21 +244,24 @@ def create_pair_ds(anchors: Dataset, candidates: Dataset,
     """Sample num_neighbors opposite-treatment pairs per anchor, then drop
     the delta_pair fraction with the largest embedding distances.
 
-    distances: optional pair_distances(anchors, candidates, provider) table;
-    without it the same distances are computed block by block.
+    distances: optional pair_distances(anchors, candidates, provider)
+    blocks; without them the same distances are computed block by block.
     """
     if anchors.dim != candidates.dim or anchors.mode != candidates.mode:
         raise ValueError("anchor and candidate datasets disagree on shape/mode")
-    shape = (len(anchors), len(candidates))
-    if distances is not None and np.shape(distances) != shape:
-        raise ValueError(f"distance table has shape {np.shape(distances)}, "
-                         f"expected {shape}")
+    spans = _spans(anchors, candidates)
+    if distances is not None:
+        shapes = [np.shape(block) for block in distances]
+        expected = [(a1 - a0, c1 - c0) for a0, a1, c0, c1 in spans]
+        if shapes != expected:
+            raise ValueError(f"distance blocks have shapes {shapes}, "
+                             f"expected {expected}")
     mode, k, lam = anchors.mode, config.num_neighbors, config.temperature
     rng = np.random.default_rng(rng_seed)
-    # an eligible candidate's t lies strictly within `reach` of its anchor's
-    # target: the opposite arm, or the window around a drawn t'
+    # binary anchors target the opposite arm; a continuous candidate is
+    # eligible when its t lies strictly within `reach` of a drawn t'
     if mode == BINARY:
-        target, reach = 1.0 - anchors.t, 0.5
+        target = 1.0 - anchors.t
     else:
         target = rng.uniform(size=len(anchors))
         reach = config.continuous_halfwidth
@@ -230,47 +273,62 @@ def create_pair_ds(anchors: Dataset, candidates: Dataset,
         e_anchor = provider.embed(anchors.x)
         e_cand = np.ascontiguousarray(provider.embed(candidates.x)[c_order])
         width = e_cand.shape[1]
-    rows = max(1, _BLOCK_BYTES // max(8 * len(candidates) * width, 1))
-    # each block reads the slab of t-sorted candidates its windows span; a
-    # bound one float step beyond each rounded window edge keeps every
-    # candidate the exact mask below can admit
-    starts = np.arange(0, len(anchors), rows)
-    ends = np.minimum(starts + rows, len(anchors))
-    slab_lo = np.searchsorted(
-        t_c, np.nextafter(target[a_order[starts]] - reach, -np.inf))
-    slab_hi = np.searchsorted(
-        t_c, np.nextafter(target[a_order[ends - 1]] + reach, np.inf), "right")
-    same_table = anchors.source == candidates.source
+    # an anchor's own row is in its own arm, so only continuous windows
+    # can hold it
+    same_table = mode == CONTINUOUS and anchors.source == candidates.source
 
     nbr = np.empty((len(anchors), k), dtype=np.intp)
     dist = np.empty((len(anchors), k))
     n_eligible = np.empty(len(anchors), dtype=np.intp)
     short = []   # (anchor, eligible candidates, distances) with < k eligible
-    for start, end, lo, hi in zip(starts, ends, slab_lo, slab_hi):
-        a_rows, cols = a_order[start:end], c_order[lo:hi]
-        if distances is None:
-            d = _distances(e_anchor[a_rows], e_cand[lo:hi])
-        else:
-            d = distances[a_rows][:, cols]
-        if mode == BINARY:
-            mask = t_c[None, lo:hi] != anchors.t[a_rows, None]
-        else:
-            mask = np.abs(t_c[None, lo:hi] - target[a_rows, None]) < reach
-        if same_table:
-            mask &= ids_c[None, lo:hi] != anchors.ids[a_rows, None]
-        count = n_eligible[a_rows] = np.count_nonzero(mask, axis=1)
-        # exponential race: the k smallest lam * d + log(E) are the k largest
-        # Gumbel keys -lam * d + G, since -log(E) is a standard Gumbel
-        keys = np.full(d.shape, np.inf)
-        keys[mask] = np.log(rng.standard_exponential(int(count.sum())))
-        keys += lam * d
-        full = count >= k
-        if np.any(full):
-            top = _smallest_k(keys, k)
-            nbr[a_rows[full]] = cols[top[full]]
-            dist[a_rows[full]] = np.take_along_axis(d, top, 1)[full]
-        for r in np.flatnonzero((count > 0) & ~full):
-            short.append((a_rows[r], cols[mask[r]], d[r, mask[r]]))
+    for g, (a0, a1, c0, c1) in enumerate(spans):
+        step = max(1, _BLOCK_BYTES // max(8 * (c1 - c0) * width, 1))
+        for start in range(a0, a1, step):
+            end = min(start + step, a1)
+            a_rows = a_order[start:end]
+            if mode == BINARY:
+                lo, hi = c0, c1
+            else:
+                # the slab of t-sorted candidates the block's windows span; a
+                # bound one float step beyond each rounded window edge keeps
+                # every candidate the exact mask below can admit
+                lo = np.searchsorted(
+                    t_c, np.nextafter(target[a_rows[0]] - reach, -np.inf))
+                hi = np.searchsorted(
+                    t_c, np.nextafter(target[a_rows[-1]] + reach, np.inf),
+                    "right")
+            cols = c_order[lo:hi]
+            if distances is None:
+                d = _distances(e_anchor[a_rows], e_cand[lo:hi])
+            elif mode == BINARY:
+                d = distances[g][start - a0:end - a0]
+            else:
+                d = distances[0][a_rows, lo:hi]
+            # exponential race: the k smallest lam * d + log(E) are the k
+            # largest Gumbel keys -lam * d + G, since -log(E) is a standard
+            # Gumbel
+            if mode == BINARY:  # the slab is the opposite arm, all eligible
+                count = np.full(len(a_rows), hi - lo)
+                keys = rng.standard_exponential(d.shape)
+                np.log(keys, out=keys)
+            else:
+                mask = np.abs(t_c[None, lo:hi] - target[a_rows, None]) < reach
+                if same_table:
+                    mask &= ids_c[None, lo:hi] != anchors.ids[a_rows, None]
+                count = np.count_nonzero(mask, axis=1)
+                keys = np.full(d.shape, np.inf)
+                keys[mask] = np.log(rng.standard_exponential(int(count.sum())))
+            keys += lam * d
+            n_eligible[a_rows] = count
+            full = count >= k
+            if np.any(full):
+                sel = slice(None) if np.all(full) else full
+                top = _smallest_k(keys[sel], k)
+                nbr[a_rows[sel]] = cols[top]
+                dist[a_rows[sel]] = np.take_along_axis(d[sel], top, 1)
+            for r in np.flatnonzero((count > 0) & ~full):
+                keep = slice(None) if mode == BINARY else mask[r]
+                short.append((a_rows[r], cols[keep], d[r, keep]))
     for a, cols, d in short:
         pick = rng.choice(len(cols), size=k, replace=True,
                           p=_softmax_neg(d, lam))

@@ -211,32 +211,6 @@ def verify_ite_bound(scene: FiniteScene) -> dict:
     }
 
 
-def scene_pair_loss_via_losses(scene: FiniteScene) -> float:
-    """Recompute the scene's pair risk through the loss module's arithmetic
-    on the induced weighted pair enumeration (cross-module consistency)."""
-    from .losses import pair_loss_decomposition
-
-    r0 = scene.r0(scene.xs)
-    r1 = scene.r1(scene.xs)
-    total = 0.0
-    weight = 0.0
-    for u, p, q, r_anchor, r_nbr in (
-        (scene.u1, scene.p1, scene.q1, r1, r0),
-        (scene.u0, scene.p0, scene.q0, r0, r1),
-    ):
-        for i in range(len(scene.xs)):
-            if p[i] == 0:
-                continue
-            w = u * p[i] * q[i]
-            f_a, f_n, align = pair_loss_decomposition(
-                r_anchor[i] * np.ones(len(scene.xs)), r_nbr,
-                np.zeros(len(scene.xs)), np.zeros(len(scene.xs)),
-            )
-            total += float(np.sum(w * (f_a + f_n + align)))
-            weight += float(np.sum(w))
-    return total / weight
-
-
 def random_scene(rng, max_degree=3) -> FiniteScene:
     """A randomized valid scene: random support, masses, polynomials."""
     m = int(rng.integers(3, 9))

@@ -208,6 +208,14 @@ def test_verify_single_suite_reports_only_itself(suite, capsys):
     assert doc[suite]["ok"] is True
 
 
+@pytest.mark.parametrize("suite, scenes", [("lemma", "0"), ("bound", "-3")])
+def test_verify_rejects_non_positive_scenes_at_the_flag(suite, scenes, capsys):
+    rc, doc = run_cli(capsys, "verify", "--suite", suite, "--scenes", scenes)
+    assert rc == 2
+    assert doc["error"] == "UsageError"
+    assert doc["message"] == f"argument --scenes: must be >= 1, not {scenes}"
+
+
 def test_failing_verify_suite_prints_report_then_exits_1(capsys, monkeypatch):
     from paireffect import theory
 

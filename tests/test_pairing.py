@@ -409,12 +409,10 @@ def test_smallest_k_equals_per_row_stable_argsort():
                  rng.integers(0, 6, size=(40, 25)).astype(float)):
         keys[rng.uniform(size=keys.shape) < 0.3] = np.inf
         for k in range(1, 12):
-            got = _smallest_k(keys, k)
+            # ties, among them the inf keys, go to the lower index
+            got = _smallest_k(keys.copy(), k)
             for row, top in zip(keys, got):
-                ranked = np.sort(row)
-                if ranked[k - 1] != ranked[k]:  # the k smallest are unique
-                    assert np.array_equal(
-                        top, np.argsort(row, kind="stable")[:k])
+                assert np.array_equal(top, np.argsort(row, kind="stable")[:k])
 
 
 def _continuous_table():
@@ -431,90 +429,184 @@ def _short_arm_table():
                    y=rng.normal(size=12), mode=BINARY)
 
 
+def _k_row_arm_table():
+    # three treated rows: every control anchor has exactly k = 3 candidates
+    rng = np.random.default_rng(9)
+    return Dataset(x=rng.normal(size=(14, 2)), t=np.array([1.0] * 3 + [0.0] * 11),
+                   y=rng.normal(size=14), mode=BINARY)
+
+
 # Hashes recorded when one generator per call began drawing the targets,
 # the exponential keys and the with-replacement rows; a change here means
-# the random streams moved.
+# the random streams moved.  The last three cases were recorded before
+# binary pairing stopped scanning same-arm entries.
 GOLDEN = {
     "binary": ("96c259942e9bfd5d", 162),
     "continuous": ("7a338ae5be369d33", 144),
     "fallback": ("110168033b44c8de", 36),
+    "subset_anchors": ("2ad20ab233b09189", 32),
+    "empty_target": ("0c34cab6343ec21a", 38),
+    "k_row_arm": ("66576bf92bc246be", 42),
+}
+# (skipped_anchors, fallback_anchors, pre_trim_size) of each case
+PROVENANCE = {
+    "binary": (0, 0, 180),
+    "continuous": (0, 0, 160),
+    "fallback": (0, 10, 36),
+    "subset_anchors": (0, 0, 36),
+    "empty_target": (39, 0, 42),
+    "k_row_arm": (0, 0, 42),
 }
 
 
 def _golden_cases():
+    """Each case's (anchors, candidates, config, provider, seed)."""
     ds = binary_dataset(n=60, seed=0)
     cds = _continuous_table()
     fds = _short_arm_table()
+    kds = _k_row_arm_table()
+    # anchors a strict subset of the candidates' table, as for the
+    # validation pairs of a training run
+    vds = binary_dataset(n=50, seed=4)
+    val = vds.subset(np.random.default_rng(0).permutation(50)[:12])
+    treated = ds.subset(np.flatnonzero(ds.t == 1.0))
     return {
-        "binary": (ds, PairingConfig(num_neighbors=3),
+        "binary": (ds, ds, PairingConfig(num_neighbors=3),
                    RandomProjectionEmbedding(3, 5, seed=1), 42),
-        "continuous": (cds, PairingConfig(num_neighbors=2, temperature=2.0),
+        "continuous": (cds, cds, PairingConfig(num_neighbors=2, temperature=2.0),
                        IdentityEmbedding(2), 7),
-        "fallback": (fds, PairingConfig(num_neighbors=3, delta_pair=0.0),
+        "fallback": (fds, fds, PairingConfig(num_neighbors=3, delta_pair=0.0),
                      IdentityEmbedding(2), 11),
+        "subset_anchors": (val, vds, PairingConfig(num_neighbors=3),
+                           RandomProjectionEmbedding(3, 4, seed=2), 5),
+        # treated anchors find no control candidate and are all skipped
+        "empty_target": (ds, treated, PairingConfig(num_neighbors=2),
+                         IdentityEmbedding(3), 8),
+        "k_row_arm": (kds, kds, PairingConfig(num_neighbors=3, delta_pair=0.0),
+                      IdentityEmbedding(2), 13),
     }
+
+
+def _provenance(pairs):
+    return tuple(pairs.provenance[key] for key in
+                 ("skipped_anchors", "fallback_anchors", "pre_trim_size"))
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_pair_draws_match_recorded_hashes(case):
-    ds, cfg, provider, seed = _golden_cases()[case]
-    pairs = create_pair_ds(ds, ds, cfg, provider, seed)
+    anchors, candidates, cfg, provider, seed = _golden_cases()[case]
+    pairs = create_pair_ds(anchors, candidates, cfg, provider, seed)
     assert (pairs.content_hash(), len(pairs)) == GOLDEN[case]
+    assert _provenance(pairs) == PROVENANCE[case]
     if case == "fallback":
         # control anchors draw with replacement from the two treated rows
         controls = pairs.anchor_idx >= 2
         assert set(pairs.nbr_idx[controls]) <= {0, 1}
         assert np.sum(controls) == 30
-        assert pairs.provenance["fallback_anchors"] == 10
+    if case == "k_row_arm":
+        # each control anchor draws all three treated rows, once each
+        controls = pairs.anchor_idx >= 3
+        assert np.array_equal(np.sort(pairs.nbr_idx[controls].reshape(-1, 3)),
+                              np.tile([0, 1, 2], (11, 1)))
+
+
+def _mixed_arm_table(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    return Dataset(x=rng.normal(size=(n, dim)),
+                   t=rng.integers(0, 2, size=n).astype(float), y=np.zeros(n))
 
 
 @pytest.mark.parametrize("dim", [1, 3, 10, 200])
 @pytest.mark.parametrize("block_bytes", [1, 4096, 1 << 18])
 def test_pair_distances_match_norm_bit_for_bit(monkeypatch, dim, block_bytes):
+    # binary blocks hold, per target, the anchors targeting it against the
+    # candidates of that arm, each in table order; every stored entry is
+    # compared with np.linalg.norm, for distinct tables and for one table
+    # paired with itself (whose second block is the first transposed)
     from paireffect import pairing
 
     monkeypatch.setattr(pairing, "_BLOCK_BYTES", block_bytes)
-    rng = np.random.default_rng(dim)
-    anchors = Dataset(x=rng.normal(size=(9, dim)), t=np.zeros(9),
-                      y=np.zeros(9))
-    candidates = Dataset(x=rng.normal(size=(40, dim)), t=np.ones(40),
-                         y=np.zeros(40))
+    anchors = _mixed_arm_table(9, dim, dim)
+    candidates = _mixed_arm_table(40, dim, dim + 1)
     provider = IdentityEmbedding(dim)
-    table = pair_distances(anchors, candidates, provider)
-    assert table.shape == (9, 40)
-    for i in range(9):
-        ref = np.linalg.norm(candidates.x - anchors.x[i], axis=1)
+    for a, c in ((anchors, candidates), (candidates, candidates)):
+        blocks = pair_distances(a, c, provider)
+        assert len(blocks) == 2
+        for target, block in enumerate(blocks):
+            rows = np.flatnonzero(a.t == 1.0 - target)
+            cols = np.flatnonzero(c.t == target)
+            assert block.shape == (len(rows), len(cols))
+            for i, row in enumerate(rows):
+                ref = np.linalg.norm(c.x[cols] - a.x[row], axis=1)
+                assert np.array_equal(block[i], ref)
+
+
+def test_continuous_pair_distances_are_the_full_table():
+    cds = _continuous_table()
+    (table,) = pair_distances(cds, cds, IdentityEmbedding(2))
+    cols = np.argsort(cds.t, kind="stable")
+    assert table.shape == (len(cds), len(cds))
+    for i in range(len(cds)):
+        ref = np.linalg.norm(cds.x[cols] - cds.x[i], axis=1)
         assert np.array_equal(table[i], ref)
+
+
+def test_same_table_binary_distances_evaluate_only_cross_arm_entries(
+        monkeypatch):
+    from paireffect import pairing
+
+    evaluated = []
+    real = pairing._distances
+
+    def counting(e_anchor, e_cand):
+        out = real(e_anchor, e_cand)
+        evaluated.append(out.size)
+        return out
+
+    monkeypatch.setattr(pairing, "_distances", counting)
+    ds = binary_dataset(n=60, seed=0)
+    n1 = int(np.sum(ds.t == 1.0))
+    n0 = len(ds) - n1
+    first, second = pair_distances(ds, ds, IdentityEmbedding(3))
+    assert sum(evaluated) == n1 * n0
+    # one stored block; the arm-0 anchors read it transposed
+    assert first.shape == (n1, n0) and first.flags.owndata
+    assert second.base is first and np.array_equal(second, first.T)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_distance_table_gives_same_pairs(case):
-    ds, cfg, provider, seed = _golden_cases()[case]
-    table = pair_distances(ds, ds, provider)
-    with_table = create_pair_ds(ds, ds, cfg, provider, seed, distances=table)
-    without = create_pair_ds(ds, ds, cfg, provider, seed)
+    anchors, candidates, cfg, provider, seed = _golden_cases()[case]
+    table = pair_distances(anchors, candidates, provider)
+    with_table = create_pair_ds(anchors, candidates, cfg, provider, seed,
+                                distances=table)
+    without = create_pair_ds(anchors, candidates, cfg, provider, seed)
     assert with_table.content_hash() == without.content_hash()
     assert np.array_equal(with_table.xp, without.xp)
-    if ds.mode == CONTINUOUS:
+    assert with_table.provenance == without.provenance
+    if anchors.mode == CONTINUOUS:
         assert np.array_equal(with_table.target_t, without.target_t)
-    with pytest.raises(ValueError):
-        create_pair_ds(ds, ds, cfg, provider, seed, distances=table[1:])
+    full = np.zeros((len(anchors), len(candidates)))
+    for wrong in (table[1:], full, (full, full)):
+        with pytest.raises(ValueError, match="distance blocks"):
+            create_pair_ds(anchors, candidates, cfg, provider, seed,
+                           distances=wrong)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_block_size_does_not_change_pairs(monkeypatch, case):
     from paireffect import pairing
 
-    ds, cfg, provider, seed = _golden_cases()[case]
-    table = pair_distances(ds, ds, provider)
-    hashes = set()
+    anchors, candidates, cfg, provider, seed = _golden_cases()[case]
+    table = pair_distances(anchors, candidates, provider)
+    results = set()
     for block_bytes in (1, 4096, 1 << 18):
         monkeypatch.setattr(pairing, "_BLOCK_BYTES", block_bytes)
         for distances in (None, table):
-            pairs = create_pair_ds(ds, ds, cfg, provider, seed,
+            pairs = create_pair_ds(anchors, candidates, cfg, provider, seed,
                                    distances=distances)
-            hashes.add((pairs.content_hash(), len(pairs)))
-    assert hashes == {GOLDEN[case]}
+            results.add((pairs.content_hash(), len(pairs), _provenance(pairs)))
+    assert results == {(*GOLDEN[case], PROVENANCE[case])}
 
 
 def test_same_table_loaded_twice_never_self_pairs(tmp_path):

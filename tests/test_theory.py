@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from paireffect.losses import pair_loss_decomposition
 from paireffect.theory import (
     STRICT,
     VIOLATED,
@@ -9,7 +10,6 @@ from paireffect.theory import (
     consistency_sweep,
     random_scene,
     scene_functionals,
-    scene_pair_loss_via_losses,
     verify,
     verify_ite_bound,
     verify_lemma_identity,
@@ -83,6 +83,30 @@ def test_sharp_kernel_with_identical_arms_closes_gap():
         for x in scene.xs
     )
     assert out["eps_pair"] == pytest.approx(ite_pointwise, rel=1e-6)
+
+
+def scene_pair_loss_via_losses(scene):
+    """Recompute the scene's pair risk through the loss module's arithmetic
+    on the induced weighted pair enumeration (cross-module consistency)."""
+    r0 = scene.r0(scene.xs)
+    r1 = scene.r1(scene.xs)
+    total = 0.0
+    weight = 0.0
+    for u, p, q, r_anchor, r_nbr in (
+        (scene.u1, scene.p1, scene.q1, r1, r0),
+        (scene.u0, scene.p0, scene.q0, r0, r1),
+    ):
+        for i in range(len(scene.xs)):
+            if p[i] == 0:
+                continue
+            w = u * p[i] * q[i]
+            f_a, f_n, align = pair_loss_decomposition(
+                r_anchor[i] * np.ones(len(scene.xs)), r_nbr,
+                np.zeros(len(scene.xs)), np.zeros(len(scene.xs)),
+            )
+            total += float(np.sum(w * (f_a + f_n + align)))
+            weight += float(np.sum(w))
+    return total / weight
 
 
 def test_pair_risk_agrees_with_loss_module():
