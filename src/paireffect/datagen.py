@@ -86,6 +86,8 @@ class Dataset:
         self.ids = np.asarray(self.ids, dtype=int)
         if self.ids.shape != self.t.shape:
             raise ValueError(f"dataset ids must have shape {self.t.shape}")
+        if len(np.unique(self.ids)) != len(self.ids):
+            raise ValueError("dataset ids must be unique")
         if not self.source:
             h = hashlib.sha256(repr(self.x.shape).encode())
             for arr in (self.ids, self.x, self.t, self.y):

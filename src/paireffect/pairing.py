@@ -18,15 +18,29 @@ E ~ Exp(1), are a Gumbel top-k: k successive softmax draws without
 replacement, exact at any temperature.  Anchors with fewer than k eligible
 candidates draw k with replacement; those with none are skipped.
 
+A binary arm with more than k candidates and lambda > 0 takes the pruned
+race unless more than _DENSE_SHARE of its slab is near, on average over
+_SAMPLE of its anchors; otherwise it takes the dense race, one key per
+entry.  The pruned race draws keys only for each anchor's near
+candidates, d <= d_(k) + (log n + _MARGIN) / lambda, and handles the far
+ones exactly by Poisson thinning: one bounding first arrival per anchor
+shows whether any far key could beat the anchor's k-th key, and only then
+are arrivals thinned to individual far candidates.  The law stays the
+Gumbel top-k, and a near key keeps the dense race's bits and tie rule.
+Continuous windows always take the dense, masked race.
+
 A pair set holds row positions into its anchor and candidate tables; its
 columns (x, t, y, xp, tp, yp, anchor_idx, nbr_idx) are read-only gathers
 through them, so a table must not be changed after pairing.
 
 Determinism: one generator per call, seeded by rng_seed, draws in order the
-continuous targets, one exponential per eligible (anchor, candidate) entry
-in (target, t) order, and the with-replacement rows.  Neither the block size
-nor the distance table changes a draw or a distance bit.  The draws are
-shared, so an anchor's pairs depend on the other anchors of the call.
+continuous targets; one exponential per key entry in (target, t) order
+(every eligible entry in a dense race, the near entries in a pruned one);
+one bounding first arrival per pruned anchor with a far candidate, then
+the thinning draws of the anchors whose check fires, in the same order;
+and the with-replacement rows.  Neither the block size nor the distance
+table changes a draw or a distance bit.  The draws are shared, so an
+anchor's pairs depend on the other anchors of the call.
 """
 
 from __future__ import annotations
@@ -175,12 +189,18 @@ _BLOCK_BYTES = 1 << 18
 def _distances(e_anchor, e_cand):
     """Anchor x candidate Euclidean distances, each sqrt(add.reduce(diff *
     diff)) over a contiguous row as np.linalg.norm(..., axis=1) does, so
-    they match it bit for bit whatever the block shape."""
+    they match it bit for bit whatever the block shape.
+
+    One-dimensional embeddings take |c - a|, which is sqrt(fl((c - a)^2))
+    to the bit unless the square underflows (|c - a| < 2^-511) or
+    overflows (|c - a| >= 2^512); there np.linalg.norm rounds the
+    distance, or returns inf, and this returns |c - a|."""
+    if e_cand.shape[1] == 1:
+        diff = e_cand[:, 0] - e_anchor
+        return np.abs(diff, out=diff)
     diff = e_cand - e_anchor[:, None, :]
     diff *= diff
-    # a one-term sum is that term
-    return np.sqrt(diff[..., 0] if diff.shape[-1] == 1
-                   else np.add.reduce(diff, axis=-1))
+    return np.sqrt(np.add.reduce(diff, axis=-1))
 
 
 def _table(e_anchor, e_cand):
@@ -238,6 +258,56 @@ def _smallest_k(keys, k):
     return top
 
 
+# The pruned race draws keys only for an anchor's near candidates, those
+# with d <= d_(k) + (log n + _MARGIN) / lam, where d_(k) is its k-th
+# smallest distance and n its slab's size.  The anchor's k-th key is at
+# most lam * d_(k) + log max(E_1..E_k) over its k nearest draws, so the
+# far check fires with probability below H_k e^(-_MARGIN) per anchor,
+# H_k = 1 + 1/2 + ... + 1/k.
+_MARGIN = 20.0
+# A binary span takes the dense race, a key for every entry, when more
+# than _DENSE_SHARE of its slab is near on average over _SAMPLE of its
+# anchors, evenly spaced in target order.
+_DENSE_SHARE = 0.25
+_SAMPLE = 16
+
+
+def _near_bound(d, k, lam):
+    """Each row's near bound d_(k) + (log n + _MARGIN) / lam."""
+    kth = d[np.arange(len(d)), _smallest_k(d.copy(), k)[:, -1]]
+    return kth + (np.log(d.shape[1]) + _MARGIN) / lam
+
+
+def _arrival(s, n_far, lam, threshold):
+    """log(s / R): the log time of the arrival, of a Poisson process of rate
+    R = n_far e^(-lam threshold), whose Exp(1) gaps sum to s."""
+    return np.log(s) - np.log(n_far) + lam * threshold
+
+
+def _thin(rng, d, threshold, lam, s, keys, nbr, dist, cols):
+    """Merge one anchor's far candidates, d > threshold over its slab
+    `cols`, into its top k (keys, neighbors and distances, in key order) by
+    Poisson thinning, and return the new neighbors and distances.
+
+    Each far race has rate e^(-lam d) < e^(-lam threshold), so one process
+    of rate n_far e^(-lam threshold) dominates them all: each of its
+    arrivals goes to a uniform far candidate, which takes it with
+    probability e^(-lam (d - threshold)), and a candidate's first taken
+    arrival is its key.  s is the first arrival's draw; the loop ends when
+    an arrival passes the k-th key, which no later far key can beat."""
+    far = np.flatnonzero(d > threshold)
+    taken = set()
+    while (key := _arrival(s, len(far), lam, threshold)) < keys[-1]:
+        j = far[rng.integers(len(far))]
+        if rng.random() < np.exp(-lam * (d[j] - threshold)) and j not in taken:
+            taken.add(j)
+            at = np.searchsorted(keys, key, "right")
+            keys, nbr, dist = (np.insert(v, at, x)[:-1] for v, x in
+                               ((keys, key), (nbr, cols[j]), (dist, d[j])))
+        s += rng.standard_exponential()
+    return nbr, dist
+
+
 def create_pair_ds(anchors: Dataset, candidates: Dataset,
                    config: PairingConfig, provider, rng_seed,
                    distances=None) -> PairDataset:
@@ -277,12 +347,34 @@ def create_pair_ds(anchors: Dataset, candidates: Dataset,
     # can hold it
     same_table = mode == CONTINUOUS and anchors.source == candidates.source
 
+    def span_rows(g, pos):
+        """Distances of the anchors at positions pos of binary span g to
+        its slab."""
+        a0, _, c0, c1 = spans[g]
+        if distances is None:
+            return _distances(e_anchor[a_order[pos]], e_cand[c0:c1])
+        return distances[g][pos - a0]
+
     nbr = np.empty((len(anchors), k), dtype=np.intp)
     dist = np.empty((len(anchors), k))
     n_eligible = np.empty(len(anchors), dtype=np.intp)
     short = []   # (anchor, eligible candidates, distances) with < k eligible
+    # by position in target order: a pruned anchor's near bound, its far
+    # candidates' count (0 for every other anchor) and its top k keys
+    bound = np.empty(len(anchors))
+    far = np.zeros(len(anchors), dtype=np.intp)
+    top_keys = np.empty((len(anchors), k))
     for g, (a0, a1, c0, c1) in enumerate(spans):
         step = max(1, _BLOCK_BYTES // max(8 * (c1 - c0) * width, 1))
+        prune = False
+        if mode == BINARY and lam > 0 and c1 - c0 > k and a1 > a0:
+            m = min(_SAMPLE, a1 - a0)
+            sample = a0 + np.arange(m) * (a1 - a0) // m
+            n_near = 0
+            for i in range(0, m, step):
+                d = span_rows(g, sample[i:i + step])
+                n_near += np.count_nonzero(d <= _near_bound(d, k, lam)[:, None])
+            prune = n_near <= _DENSE_SHARE * m * (c1 - c0)
         for start in range(a0, a1, step):
             end = min(start + step, a1)
             a_rows = a_order[start:end]
@@ -309,8 +401,22 @@ def create_pair_ds(anchors: Dataset, candidates: Dataset,
             # Gumbel
             if mode == BINARY:  # the slab is the opposite arm, all eligible
                 count = np.full(len(a_rows), hi - lo)
-                keys = rng.standard_exponential(d.shape)
-                np.log(keys, out=keys)
+                if prune:
+                    # keys for the near entries only, row by row; each row's
+                    # k smallest, ties to the lower column
+                    bound[start:end] = _near_bound(d, k, lam)
+                    r, c = np.divmod(
+                        np.flatnonzero(d <= bound[start:end, None]), hi - lo)
+                    keys = np.log(rng.standard_exponential(len(r)))
+                    keys += lam * d[r, c]
+                    near = np.bincount(r, minlength=len(a_rows))
+                    pick = np.lexsort((keys, r))[
+                        (np.cumsum(near) - near)[:, None] + np.arange(k)]
+                    top, top_keys[start:end] = c[pick], keys[pick]
+                    far[start:end] = hi - lo - near
+                else:
+                    keys = rng.standard_exponential(d.shape)
+                    np.log(keys, out=keys)
             else:
                 mask = np.abs(t_c[None, lo:hi] - target[a_rows, None]) < reach
                 if same_table:
@@ -318,17 +424,30 @@ def create_pair_ds(anchors: Dataset, candidates: Dataset,
                 count = np.count_nonzero(mask, axis=1)
                 keys = np.full(d.shape, np.inf)
                 keys[mask] = np.log(rng.standard_exponential(int(count.sum())))
-            keys += lam * d
             n_eligible[a_rows] = count
             full = count >= k
             if np.any(full):
                 sel = slice(None) if np.all(full) else full
-                top = _smallest_k(keys[sel], k)
+                if not prune:
+                    keys += lam * d
+                    top = _smallest_k(keys[sel], k)
                 nbr[a_rows[sel]] = cols[top]
                 dist[a_rows[sel]] = np.take_along_axis(d[sel], top, 1)
             for r in np.flatnonzero((count > 0) & ~full):
                 keep = slice(None) if mode == BINARY else mask[r]
                 short.append((a_rows[r], cols[keep], d[r, keep]))
+    # one bounding first arrival of each pruned anchor's far candidates;
+    # only an anchor whose arrival beats its k-th key is thinned
+    pos = np.flatnonzero(far)
+    first = rng.standard_exponential(len(pos))
+    for i in np.flatnonzero(
+            _arrival(first, far[pos], lam, bound[pos]) < top_keys[pos, -1]):
+        p, a = pos[i], a_order[pos[i]]
+        g = int(p >= spans[0][1])
+        c0, c1 = spans[g][2:]
+        nbr[a], dist[a] = _thin(rng, span_rows(g, pos[i:i + 1])[0], bound[p],
+                                lam, first[i], top_keys[p], nbr[a], dist[a],
+                                c_order[c0:c1])
     for a, cols, d in short:
         pick = rng.choice(len(cols), size=k, replace=True,
                           p=_softmax_neg(d, lam))

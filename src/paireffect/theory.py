@@ -160,8 +160,8 @@ def verify_ite_bound(scene: FiniteScene) -> dict:
 
     K_t is the Lipschitz constant of r_t on the support hull, B the larger
     Lipschitz constant of r_t^2, and delta the max expected neighbor distance
-    over anchors (absolute distance; the squared variant is also reported).
-    Also evaluates the factual-loss counterpart bound for comparison.
+    over anchors.  ipm_term (sum_t u_t W1(p_t, q_t)) is reported beside
+    W1(p_0, p_1) for the confounded-scene ordering check.
     """
     f = scene_functionals(scene)
     lo, hi = float(np.min(scene.xs)), float(np.max(scene.xs))
@@ -175,14 +175,11 @@ def verify_ite_bound(scene: FiniteScene) -> dict:
 
     d = np.abs(scene.xs[:, None] - scene.xs[None, :])
     exp_dist = []
-    exp_dist_sq = []
     for q, p in ((scene.q0, scene.p0), (scene.q1, scene.p1)):
         anchors = p > 0
         if np.any(anchors):
             exp_dist.append(np.max(np.sum(d[anchors] * q[anchors], axis=1)))
-            exp_dist_sq.append(np.max(np.sum(d[anchors] ** 2 * q[anchors], axis=1)))
     delta = float(max(exp_dist))
-    delta_sq = float(max(exp_dist_sq))
 
     w1_0 = _w1_discrete(scene.xs, scene.p0, f["q0_marginal"])
     w1_1 = _w1_discrete(scene.xs, scene.p1, f["q1_marginal"])
@@ -191,23 +188,14 @@ def verify_ite_bound(scene: FiniteScene) -> dict:
         scene.u0 * (b * w1_0 + 2.0 * k1 * delta * np.sqrt(f["eps_f0"]))
         + scene.u1 * (b * w1_1 + 2.0 * k0 * delta * np.sqrt(f["eps_f1"]))
     )
-    w1_p0_p1 = _w1_discrete(scene.xs, scene.p0, scene.p1)
-    factual_bound = 2.0 * (f["eps_f0"] + f["eps_f1"] + b * w1_p0_p1)
-
     return {
         "eps_ite": f["eps_ite"],
         "eps_pair": f["eps_pair"],
         "bound": float(bound),
         "margin": float(bound - f["eps_ite"]),
         "holds": bool(f["eps_ite"] <= bound + 1e-12),
-        "factual_bound": float(factual_bound),
         "ipm_term": float(ipm_term),
-        "w1_p0_p1": float(w1_p0_p1),
-        "k0": k0,
-        "k1": k1,
-        "b": b,
-        "delta": delta,
-        "delta_sq": delta_sq,
+        "w1_p0_p1": _w1_discrete(scene.xs, scene.p0, scene.p1),
     }
 
 

@@ -39,6 +39,19 @@ def test_dataset_validation():
                        "y": np.zeros(6), **cols})
 
 
+def test_dataset_rejects_repeated_ids():
+    # continuous pairing excludes an anchor's own row by id, so this table,
+    # whose windows cover every row, once skipped every anchor deep inside
+    # create_pair_ds
+    cols = {"x": np.arange(4.0)[:, None], "t": np.array([0.4, 0.45, 0.5, 0.55]),
+            "y": np.zeros(4), "mode": CONTINUOUS}
+    with pytest.raises(ValueError, match="dataset ids must be unique"):
+        Dataset(**cols, ids=[7, 7, 7, 7])
+    with pytest.raises(ValueError, match="dataset ids must be unique"):
+        Dataset(**cols, ids=[3, 7, 5, 3])
+    assert list(Dataset(**cols, ids=[7, 3, 9, 1]).ids) == [7, 3, 9, 1]
+
+
 @pytest.mark.parametrize("field", ["x", "t", "y"])
 def test_dataset_rejects_non_finite_values(field, tmp_path):
     cols = {"x": np.zeros((3, 2)), "t": np.array([0.0, 0.5, 1.0]),

@@ -348,6 +348,67 @@ def test_ordered_neighbor_pairs_match_successive_softmax_chi_square():
     assert stat < _chi2_upper(df)
 
 
+@pytest.mark.parametrize("margin", [None, -3.0])
+def test_pruned_race_ordered_pairs_match_successive_softmax_chi_square(
+        monkeypatch, margin):
+    # candidates at distances 0.1..0.5 (A), 40 in [0.9, 1.0] (B) and 400 in
+    # [5, 10] (C), plus same-arm decoys.  At lam = 5 about a sixth of the
+    # slab is near, so the race is pruned; B holds about a fifth of the
+    # softmax mass.  A margin of -3 leaves only A near, so the far check
+    # fires on nearly every anchor and thinning must find B's picks.
+    from paireffect import pairing
+
+    if margin is not None:
+        monkeypatch.setattr(pairing, "_MARGIN", margin)
+    thinned = _spy(monkeypatch, "_thin")
+    rng = np.random.default_rng(4)
+    x = np.concatenate([np.linspace(0.1, 0.5, 5), rng.uniform(0.9, 1.0, 40),
+                        rng.uniform(5.0, 10.0, 400), [0.05, 0.3]])
+    t = np.concatenate([np.ones(445), np.zeros(2)])
+    candidates = Dataset(x=x[:, None], t=t, y=np.zeros(len(x)), mode=BINARY)
+    provider = IdentityEmbedding(1)
+    cfg = PairingConfig(temperature=5.0, num_neighbors=2, delta_pair=0.0)
+    draws = 20000
+    pairs = create_pair_ds(_copies(draws, 0.0), candidates, cfg, provider, 8)
+    if margin is None:
+        assert thinned == []
+    else:
+        assert len(thinned) > 0.9 * draws
+    first, second = pairs.nbr_idx.reshape(draws, 2).T
+    assert np.all(first < 445) and np.all(second < 445)
+    assert np.all(first != second)
+    # B is drawn often enough for its cells to count
+    assert np.sum((first >= 5) & (first < 45)) > 0.1 * draws
+    counts = np.bincount(first * 445 + second, minlength=445**2).astype(float)
+    p = neighbor_distribution([0.0], 0.0, candidates, provider, 5.0)[:445]
+    exact = p[:, None] * p[None, :] / (1.0 - p[:, None])
+    np.fill_diagonal(exact, 0.0)
+    stat, df = _chi2(counts, draws * exact.ravel())
+    assert df > 100 and stat < _chi2_upper(df)
+
+
+def test_thinning_keeps_pairs_independent_of_block_size_and_table(
+        monkeypatch):
+    from paireffect import pairing
+
+    monkeypatch.setattr(pairing, "_MARGIN", -3.0)
+    thinned = _spy(monkeypatch, "_thin")
+    anchors, candidates, cfg, provider, seed = _golden_cases()["pruned"]
+    table = pair_distances(anchors, candidates, provider)
+    results = set()
+    for block_bytes in (1, 4096, 1 << 18):
+        monkeypatch.setattr(pairing, "_BLOCK_BYTES", block_bytes)
+        for distances in (None, table):
+            pairs = create_pair_ds(anchors, candidates, cfg, provider, seed,
+                                   distances=distances)
+            results.add((pairs.content_hash(), len(pairs), _provenance(pairs)))
+    assert len(results) == 1
+    # six calls, each thinning nearly every anchor
+    assert len(thinned) > 0.9 * 6 * len(anchors)
+    # the thinned pairs differ from the pruned race's
+    assert results != {(*GOLDEN["pruned"], PROVENANCE["pruned"])}
+
+
 def test_continuous_window_frequencies_match_exact_chi_square():
     # the target t' ~ U[0, 1] picks the window; integrating the window's
     # softmax over t' gives each candidate's exact probability, and the
@@ -447,6 +508,7 @@ GOLDEN = {
     "subset_anchors": ("2ad20ab233b09189", 32),
     "empty_target": ("0c34cab6343ec21a", 38),
     "k_row_arm": ("66576bf92bc246be", 42),
+    "pruned": ("33773fdf7ee9ad48", 540),
 }
 # (skipped_anchors, fallback_anchors, pre_trim_size) of each case
 PROVENANCE = {
@@ -456,6 +518,7 @@ PROVENANCE = {
     "subset_anchors": (0, 0, 36),
     "empty_target": (39, 0, 42),
     "k_row_arm": (0, 0, 42),
+    "pruned": (0, 0, 600),
 }
 
 
@@ -465,6 +528,7 @@ def _golden_cases():
     cds = _continuous_table()
     fds = _short_arm_table()
     kds = _k_row_arm_table()
+    pds = _mixed_arm_table(200, 1, 12)
     # anchors a strict subset of the candidates' table, as for the
     # validation pairs of a training run
     vds = binary_dataset(n=50, seed=4)
@@ -484,6 +548,10 @@ def _golden_cases():
                          IdentityEmbedding(3), 8),
         "k_row_arm": (kds, kds, PairingConfig(num_neighbors=3, delta_pair=0.0),
                       IdentityEmbedding(2), 13),
+        # a sharp softmax over 1-D covariates: about a tenth of each slab
+        # is near, so both arms take the pruned race
+        "pruned": (pds, pds, PairingConfig(num_neighbors=3, temperature=200.0),
+                   IdentityEmbedding(1), 17),
     }
 
 
@@ -492,12 +560,31 @@ def _provenance(pairs):
                  ("skipped_anchors", "fallback_anchors", "pre_trim_size"))
 
 
+def _spy(monkeypatch, name):
+    """The argument tuples of every call to pairing.<name>."""
+    from paireffect import pairing
+
+    calls = []
+    real = getattr(pairing, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pairing, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_pair_draws_match_recorded_hashes(case):
+def test_pair_draws_match_recorded_hashes(monkeypatch, case):
     anchors, candidates, cfg, provider, seed = _golden_cases()[case]
+    far_checks = _spy(monkeypatch, "_arrival")
     pairs = create_pair_ds(anchors, candidates, cfg, provider, seed)
     assert (pairs.content_hash(), len(pairs)) == GOLDEN[case]
     assert _provenance(pairs) == PROVENANCE[case]
+    # only the pruned case takes the pruned race, for every anchor
+    checked = sum(np.size(args[0]) for args in far_checks)
+    assert checked == (len(anchors) if case == "pruned" else 0)
     if case == "fallback":
         # control anchors draw with replacement from the two treated rows
         controls = pairs.anchor_idx >= 2
@@ -510,10 +597,13 @@ def test_pair_draws_match_recorded_hashes(case):
                               np.tile([0, 1, 2], (11, 1)))
 
 
-def _mixed_arm_table(n, dim, seed):
+def _mixed_arm_table(n, dim, seed, edge=()):
+    """n rows with random arms; the first rows' covariates set to `edge`."""
     rng = np.random.default_rng(seed)
-    return Dataset(x=rng.normal(size=(n, dim)),
-                   t=rng.integers(0, 2, size=n).astype(float), y=np.zeros(n))
+    x = rng.normal(size=(n, dim))
+    x[:len(edge), 0] = edge
+    return Dataset(x=x, t=rng.integers(0, 2, size=n).astype(float),
+                   y=np.zeros(n))
 
 
 @pytest.mark.parametrize("dim", [1, 3, 10, 200])
@@ -522,13 +612,18 @@ def test_pair_distances_match_norm_bit_for_bit(monkeypatch, dim, block_bytes):
     # binary blocks hold, per target, the anchors targeting it against the
     # candidates of that arm, each in table order; every stored entry is
     # compared with np.linalg.norm, for distinct tables and for one table
-    # paired with itself (whose second block is the first transposed)
+    # paired with itself (whose second block is the first transposed).
+    # In 1-D the distance is |c - a|, which is the norm's sqrt((c - a)^2)
+    # unless the square underflows or overflows: the edge rows hold
+    # differences of 3e-160 and 1e300 from the 0.0 rows
     from paireffect import pairing
 
     monkeypatch.setattr(pairing, "_BLOCK_BYTES", block_bytes)
-    anchors = _mixed_arm_table(9, dim, dim)
-    candidates = _mixed_arm_table(40, dim, dim + 1)
+    edge = (0.0, 0.0, 3e-160, -3e-160, 1e300, -1e300) if dim == 1 else ()
+    anchors = _mixed_arm_table(9, dim, dim, edge)
+    candidates = _mixed_arm_table(40, dim, dim + 1, edge)
     provider = IdentityEmbedding(dim)
+    edges = 0
     for a, c in ((anchors, candidates), (candidates, candidates)):
         blocks = pair_distances(a, c, provider)
         assert len(blocks) == 2
@@ -537,8 +632,19 @@ def test_pair_distances_match_norm_bit_for_bit(monkeypatch, dim, block_bytes):
             cols = np.flatnonzero(c.t == target)
             assert block.shape == (len(rows), len(cols))
             for i, row in enumerate(rows):
-                ref = np.linalg.norm(c.x[cols] - a.x[row], axis=1)
-                assert np.array_equal(block[i], ref)
+                with np.errstate(over="ignore"):
+                    ref = np.linalg.norm(c.x[cols] - a.x[row], axis=1)
+                got = block[i]
+                if dim == 1:
+                    diff = np.abs(c.x[cols, 0] - a.x[row, 0])
+                    assert np.array_equal(got, diff)
+                    edge = (diff > 0) & ((diff < 2.0**-511)
+                                         | (diff >= 2.0**512))
+                    edges += np.count_nonzero(got[edge] != ref[edge])
+                    got, ref = got[~edge], ref[~edge]
+                assert np.array_equal(got, ref)
+    # the norm differs from |c - a| on edge entries
+    assert (edges > 0) == (dim == 1)
 
 
 def test_continuous_pair_distances_are_the_full_table():
