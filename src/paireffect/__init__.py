@@ -26,14 +26,7 @@ from .datagen import (
     save_csv,
     split_stratified,
 )
-from .losses import (
-    LossConfig,
-    factual_loss,
-    matching_loss,
-    pair_loss,
-    pair_loss_binary,
-    pair_loss_decomposition,
-)
+from .losses import LossConfig, pair_loss, pair_loss_decomposition
 from .metrics import (
     mmd_rbf,
     paired_t_test_one_sided,

@@ -388,8 +388,8 @@ def _beta_from_mode(alpha, mode):
     return (alpha - 1.0) / mode + 2.0 - alpha
 
 
-def gen_continuous_response(covariates, family, dosage_bias=2.0,
-                            noise_scale=1.0, rng=None) -> Dataset:
+def gen_continuous_response(covariates, family, rng, dosage_bias=2.0,
+                            noise_scale=1.0) -> Dataset:
     """Attach a continuous treatment and synthetic response to given covariates.
 
     Projection-based families (news, tcga*) draw three normalized Gaussian
@@ -397,8 +397,6 @@ def gen_continuous_response(covariates, family, dosage_bias=2.0,
     degenerate get their projection triple rejection-resampled from another
     valid row, with a counter on the returned oracle.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     x = np.atleast_2d(np.asarray(covariates, dtype=float))
     n, d = x.shape
 
@@ -512,13 +510,11 @@ def _gen_ihdp_cont(x, noise_scale, rng):
 # Splitting and CSV plumbing
 
 
-def split_stratified(ds: Dataset, val_fraction=0.3, rng=None):
+def split_stratified(ds: Dataset, val_fraction, rng):
     """Disjoint (train, val) split: per-treatment-group proportional for
     binary data, plain random for continuous."""
     if not 0.0 < val_fraction < 1.0:
         raise ValueError("val_fraction must be in (0, 1)")
-    if rng is None:
-        rng = np.random.default_rng(0)
     n = len(ds)
     val_idx = []
     if ds.mode == BINARY:

@@ -1,11 +1,10 @@
 """Training objectives.
 
 Each objective exposes two methods consumed by the gradient machinery:
-requests(model, batch) -> (x, heads, extras) routes what must be predicted,
-and value_and_output_grads(outputs, batch) -> (value, d_outputs) turns those
+rows(batch) -> (x, t) names the rows to predict and the treatment each is
+predicted under (the model routes treatments to its heads), and
+value_and_output_grads(outputs, batch) -> (value, d_outputs) turns those
 predictions into a mean loss and its gradient w.r.t. each prediction.
-Public scalar functions (factual_loss, pair_loss, ...) wrap the same code
-paths.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models, nets
+from . import nets
 
 FACTUAL = "factual"
 PAIR = "pair"
@@ -51,8 +50,7 @@ def make_objective(config: LossConfig):
 
 
 def objective_value(model, batch, objective) -> float:
-    x, heads, extras = objective.requests(model, batch)
-    outputs = nets.network_outputs(model, x, heads, extras)
+    outputs = nets.network_outputs(model, *objective.rows(batch))
     value, _ = objective.value_and_output_grads(outputs, batch)
     return value
 
@@ -60,9 +58,8 @@ def objective_value(model, batch, objective) -> float:
 class FactualObjective:
     """Mean squared error on observed outcomes."""
 
-    def requests(self, model, batch):
-        heads, extras = models.head_routing(model, batch.t)
-        return batch.x, heads, extras
+    def rows(self, batch):
+        return batch.x, batch.t
 
     def value_and_output_grads(self, outputs, batch):
         r = batch.y - outputs
@@ -80,11 +77,10 @@ class PairObjective:
             raise ValueError("alpha must lie in [0, 2]")
         self.alpha = alpha
 
-    def requests(self, model, batch):
-        x = np.vstack([batch.x, batch.xp])
-        t = np.concatenate([batch.t, batch.tp])
-        heads, extras = models.head_routing(model, t)
-        return x, heads, extras
+    def rows(self, batch):
+        """Anchors stacked over their neighbors."""
+        return (np.vstack([batch.x, batch.xp]),
+                np.concatenate([batch.t, batch.tp]))
 
     def value_and_output_grads(self, outputs, batch):
         m = len(batch)
@@ -102,9 +98,8 @@ class MatchingObjective:
     """Counterfactual supervision: predict the anchor under the neighbor's
     treatment and regress onto the neighbor's observed outcome."""
 
-    def requests(self, model, batch):
-        heads, extras = models.head_routing(model, batch.tp)
-        return batch.x, heads, extras
+    def rows(self, batch):
+        return batch.x, batch.tp
 
     def value_and_output_grads(self, outputs, batch):
         r = outputs - batch.yp
@@ -128,20 +123,13 @@ class PairBinaryObjective:
     a = p(anchor | its arm) and b = p(neighbor | its arm), the label
     y - y' in {-1, 0, +1} has probabilities a(1-b), ab + (1-a)(1-b), (1-a)b.
     clamped_targets counts the probabilities this objective has clamped at
-    PROB_CLAMP.
+    PROB_CLAMP.  Outcomes must be 0/1; training checks that at its entry.
     """
+
+    rows = PairObjective.rows
 
     def __init__(self):
         self.clamped_targets = 0
-
-    def requests(self, model, batch):
-        if not (np.all((batch.y == 0) | (batch.y == 1))
-                and np.all((batch.yp == 0) | (batch.yp == 1))):
-            raise ValueError("pair_binary needs 0/1 outcomes")
-        x = np.vstack([batch.x, batch.xp])
-        t = np.concatenate([batch.t, batch.tp])
-        heads, extras = models.head_routing(model, t)
-        return x, heads, extras
 
     def value_and_output_grads(self, outputs, batch):
         m = len(batch)
@@ -170,10 +158,6 @@ class PairBinaryObjective:
 # Public scalar losses
 
 
-def factual_loss(model, batch) -> float:
-    return objective_value(model, batch, FactualObjective())
-
-
 def pair_loss(model, batch, alpha=2.0) -> float:
     return objective_value(model, batch, PairObjective(alpha))
 
@@ -184,11 +168,3 @@ def pair_loss_decomposition(y, y_prime, yhat, yhat_prime):
     r = np.asarray(y, dtype=float) - np.asarray(yhat, dtype=float)
     rp = np.asarray(y_prime, dtype=float) - np.asarray(yhat_prime, dtype=float)
     return r**2, rp**2, -2.0 * r * rp
-
-
-def matching_loss(model, batch) -> float:
-    return objective_value(model, batch, MatchingObjective())
-
-
-def pair_loss_binary(model, batch) -> float:
-    return objective_value(model, batch, PairBinaryObjective())

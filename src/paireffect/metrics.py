@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 
-MEDIAN = "median"
-
 
 def pehe(tau_true, tau_pred) -> float:
     """Root mean squared error between true and predicted effects."""
@@ -50,17 +48,14 @@ def _mean_kernel(a, b, sigma, chunk=1024):
     return total / (len(a) * len(b))
 
 
-def mmd_rbf(x, y, bandwidth=MEDIAN) -> float:
-    """Biased V-statistic MMD with a Gaussian kernel exp(-||a-b||^2/(2 s^2)).
-
-    bandwidth: a positive float, or "median" for the median pairwise
-    distance of the pooled sample.
-    """
+def mmd_rbf(x, y, bandwidth) -> float:
+    """Biased V-statistic MMD with a Gaussian kernel exp(-||a-b||^2/(2 s^2))
+    of positive bandwidth s (median_heuristic gives the usual choice)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if x.shape[0] == 0 or y.shape[0] == 0 or x.shape[1] != y.shape[1]:
         raise ValueError("samples must be non-empty with equal dimension")
-    sigma = median_heuristic(np.vstack([x, y])) if bandwidth == MEDIAN else float(bandwidth)
+    sigma = float(bandwidth)
     if sigma <= 0:
         raise ValueError("bandwidth must be positive")
     val = (

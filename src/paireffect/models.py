@@ -41,6 +41,19 @@ class TwoHeadedNetwork:
     def n_heads(self) -> int:
         return 2 if self.mode == BINARY else NUM_BINS
 
+    def route(self, t):
+        """Map treatments to (head indices, per-layer extra inputs or None)."""
+        t = np.asarray(t, dtype=float)
+        if self.mode == BINARY:
+            if not np.all((t == 0.0) | (t == 1.0)):
+                raise TreatmentDomainError(
+                    f"binary treatments must be 0 or 1, got {t[(t != 0) & (t != 1)][:3]}"
+                )
+            return t.astype(int), None
+        if np.any(t < 0.0) or np.any(t > 1.0):
+            raise TreatmentDomainError("continuous treatments must lie in [0, 1]")
+        return bin_index(t)
+
 
 def _specs(arch, mode, input_dim):
     extra = 1 if mode == CONTINUOUS else 0
@@ -94,26 +107,11 @@ def bin_index(t):
     return k, t - k / NUM_BINS
 
 
-def head_routing(model, t):
-    """Map treatments to (head indices, per-layer extra inputs or None)."""
-    t = np.asarray(t, dtype=float)
-    if model.mode == BINARY:
-        if not np.all((t == 0.0) | (t == 1.0)):
-            raise TreatmentDomainError(
-                f"binary treatments must be 0 or 1, got {t[(t != 0) & (t != 1)][:3]}"
-            )
-        return t.astype(int), None
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise TreatmentDomainError("continuous treatments must lie in [0, 1]")
-    return bin_index(t)
-
-
 def predict_outcomes(model, x, t) -> np.ndarray:
     """Vector of predictions for rows of x under elementwise treatments t."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     t = np.broadcast_to(np.asarray(t, dtype=float), (len(x),))
-    heads, extras = head_routing(model, t)
-    return nets.network_outputs(model, x, heads, extras)
+    return nets.network_outputs(model, x, t)
 
 
 def predict_ites(model, x, t, t_prime) -> np.ndarray:

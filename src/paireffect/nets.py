@@ -198,44 +198,44 @@ def _chain_backward(chain, specs, caches, d_out, has_extra, grads):
     return dh
 
 
-def network_outputs(model, x, heads, extras):
-    """Scalar network outputs for a batch of routed requests.
+def network_outputs(model, x, t, caches=None):
+    """Scalar network outputs for rows x under treatments t.
 
-    x is (k, d); heads is a (k,) int array choosing the output chain for each
-    row ("head_{h}"); extras is None or a (k,) float array appended to every
-    affine layer of the chosen head.  The shared representation chain "phi"
-    is applied first.
+    model.route(t) gives each row's head index ("head_{h}") and its extra
+    input: None, or a (k,) float array appended to every affine layer of
+    the chosen head.  The shared representation chain "phi" is applied
+    first.  If `caches` is a dict, it receives what the backward pass reads:
+    "phi" -> (phi output, layer caches), and each used head's block name
+    -> (its row indices, layer caches, whether extras were appended).
     """
-    outputs, _, _, _ = _network_forward(model, x, heads, extras)
-    return outputs
-
-
-def _network_forward(model, x, heads, extras):
+    heads, extras = model.route(t)
     x = np.asarray(x, dtype=float)
-    phi_caches = []
+    phi_caches = None if caches is None else []
     phi_out = _chain_forward(
         model.params.blocks["phi"], model.phi_specs, x, caches=phi_caches
     )
+    if caches is not None:
+        caches["phi"] = (phi_out, phi_caches)
     outputs = np.empty(len(x))
-    head_state = {}
     for h in np.unique(heads):
         idx = np.flatnonzero(heads == h)
         ex = None if extras is None else extras[idx]
-        caches = []
+        head_caches = None if caches is None else []
         out = _chain_forward(
             model.params.blocks[f"head_{h}"],
             model.head_specs,
             phi_out[idx],
             ex,
-            caches=caches,
+            caches=head_caches,
         )
         if out.shape[1] != 1:
             raise ShapeMismatch(
                 f"head_{h} must end in a single output, got width {out.shape[1]}"
             )
         outputs[idx] = out[:, 0]
-        head_state[int(h)] = (idx, caches)
-    return outputs, phi_out, phi_caches, head_state
+        if caches is not None:
+            caches[f"head_{h}"] = (idx, head_caches, ex is not None)
+    return outputs
 
 
 def l2_penalty(params, reg) -> float:
@@ -251,34 +251,31 @@ def l2_penalty(params, reg) -> float:
 def loss_and_gradient(model, batch, objective, reg):
     """Mean batch loss (plus L2 penalty) and its gradient for every parameter.
 
-    `objective` must provide requests(model, batch) -> (x, heads, extras)
-    and value_and_output_grads(outputs, batch) -> (value, d_outputs), where
-    d_outputs already carries the 1/m mean factor.  The gradient store is
-    kept with model.params and overwritten by the next call; copy to keep it.
+    `objective` must provide rows(batch) -> (x, t), the rows to predict and
+    their treatments, and value_and_output_grads(outputs, batch) -> (value,
+    d_outputs), where d_outputs already carries the 1/m mean factor.  The
+    gradient store is kept with model.params and overwritten by the next
+    call; copy to keep it.
     """
-    x, heads, extras = objective.requests(model, batch)
-    outputs, phi_out, phi_caches, head_state = _network_forward(
-        model, x, heads, extras
-    )
+    caches = {}
+    outputs = network_outputs(model, *objective.rows(batch), caches)
     value, d_out = objective.value_and_output_grads(outputs, batch)
 
     params = model.params
     if params._grads is None:
         params._grads = params.zeros_like()
     grads = params._grads
+    phi_out, phi_caches = caches.pop("phi")
     d_phi_out = np.zeros_like(phi_out)
-    written = {"phi"}
-    for h, (idx, caches) in head_state.items():
-        name = f"head_{h}"
+    for name, (idx, head_caches, has_extra) in caches.items():
         d_phi_out[idx] += _chain_backward(
             params.blocks[name],
             model.head_specs,
-            caches,
+            head_caches,
             d_out[idx][:, None],
-            has_extra=extras is not None,
+            has_extra=has_extra,
             grads=grads.blocks[name],
         )
-        written.add(name)
     _chain_backward(
         params.blocks["phi"], model.phi_specs, phi_caches, d_phi_out,
         has_extra=False, grads=grads.blocks["phi"],
@@ -287,7 +284,7 @@ def loss_and_gradient(model, batch, objective, reg):
     for name, span in params.spans.items():
         weight = reg.l2_phi if name == "phi" else reg.l2_head
         decay = 2.0 * weight * params.flat[span]
-        if name in written:
+        if name == "phi" or name in caches:
             grads.flat[span] += decay
         else:  # head never routed to in this batch: L2 term only
             grads.flat[span] = decay
@@ -302,6 +299,12 @@ class RegConfig:
 
     l2_phi: float = 1.0
     l2_head: float = 1e-4
+
+    def __post_init__(self):
+        for name in ("l2_phi", "l2_head"):
+            weight = getattr(self, name)
+            if not (np.isfinite(weight) and weight >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, not {weight!r}")
 
 
 @dataclass
@@ -357,10 +360,10 @@ def finite_diff_check(model, batch, objective, reg) -> float:
     probe = copy.copy(model)
     probe.params = model.params.copy()
     flat = probe.params.flat
+    x, t = objective.rows(batch)
 
     def total():
-        x, heads, extras = objective.requests(probe, batch)
-        outputs = network_outputs(probe, x, heads, extras)
+        outputs = network_outputs(probe, x, t)
         value, _ = objective.value_and_output_grads(outputs, batch)
         return value + l2_penalty(probe.params, reg)
 

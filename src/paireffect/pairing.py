@@ -131,10 +131,13 @@ class PairingConfig:
         if type(self.num_neighbors) is not int or self.num_neighbors < 1:
             raise ValueError("num_neighbors must be an int >= 1, not "
                              f"{self.num_neighbors!r}")
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be non-negative")
-        if self.continuous_halfwidth <= 0.0:
-            raise ValueError("continuous_halfwidth must be positive")
+        if not (np.isfinite(self.temperature) and self.temperature >= 0.0):
+            raise ValueError("temperature must be finite and non-negative, "
+                             f"not {self.temperature!r}")
+        if not (np.isfinite(self.continuous_halfwidth)
+                and self.continuous_halfwidth > 0.0):
+            raise ValueError("continuous_halfwidth must be finite and "
+                             f"positive, not {self.continuous_halfwidth!r}")
 
 
 def _gather(table, positions, *columns):

@@ -63,14 +63,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be >= 0")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        if not (np.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and positive, not {self.lr!r}")
+        for name, least in (("batch_size", 1), ("max_epochs", 0),
+                            ("patience", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an int >= {least}, not "
+                                 f"{value!r}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in (0, 1)")
         if self.psi not in _PSI_KINDS:
@@ -160,8 +160,11 @@ def train(ds: Dataset, config: TrainConfig):
 
     Raises NonFiniteValue, naming the epoch, when the validation loss is
     NaN or infinite, which early stopping could not compare."""
-    if config.loss.kind == losses.PAIR_BINARY and ds.mode != BINARY:
-        raise ValueError("binary-outcome pair loss needs binary treatments")
+    if config.loss.kind == losses.PAIR_BINARY:
+        if ds.mode != BINARY:
+            raise ValueError("binary-outcome pair loss needs binary treatments")
+        if not np.all((ds.y == 0.0) | (ds.y == 1.0)):
+            raise ValueError("binary-outcome pair loss needs 0/1 outcomes")
     objective = losses.make_objective(config.loss)
     pair_based = config.loss.kind != losses.FACTUAL
     model = build_model(

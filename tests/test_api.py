@@ -5,7 +5,8 @@ import paireffect
 
 # helpers deleted for having no caller; they must not come back as exports
 DELETED = ("EvalReport", "write_comparison_csv", "sweep_to_csv",
-           "predict_outcome", "predict_ite", "asdict_pairing")
+           "predict_outcome", "predict_ite", "asdict_pairing",
+           "factual_loss", "matching_loss", "pair_loss_binary")
 
 
 def _imported_names():

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from paireffect import losses
-from paireffect.losses import (
-    LossConfig,
-    factual_loss,
-    matching_loss,
-    pair_loss,
-    pair_loss_binary,
-    pair_loss_decomposition,
-)
+from paireffect.losses import LossConfig, pair_loss, pair_loss_decomposition
 from paireffect.models import build_model, predict_outcomes
 from paireffect.nets import RegConfig, finite_diff_check
 
@@ -34,7 +27,8 @@ def test_factual_loss_is_mse(small_model, rng):
     expected = np.mean(
         (batch.y - predict_outcomes(small_model, batch.x, batch.t)) ** 2
     )
-    assert factual_loss(small_model, batch) == pytest.approx(expected, rel=1e-12)
+    value = losses.objective_value(small_model, batch, losses.FactualObjective())
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_pair_loss_alpha2_equals_difference_mse(small_model, rng):
@@ -72,13 +66,8 @@ def test_matching_loss_targets_neighbor_outcome(small_model, rng):
     batch = random_pair_batch(rng, n=40)
     pred = predict_outcomes(small_model, batch.x, batch.tp)
     expected = np.mean((pred - batch.yp) ** 2)
-    assert matching_loss(small_model, batch) == pytest.approx(expected, rel=1e-12)
-
-
-def test_pair_binary_rejects_real_valued_outcomes(small_model, rng):
-    batch = random_pair_batch(rng, n=10)
-    with pytest.raises(ValueError):
-        pair_loss_binary(small_model, batch)
+    value = losses.objective_value(small_model, batch, losses.MatchingObjective())
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_pair_binary_symmetric_point_cross_entropy(small_model, rng):

@@ -5,7 +5,6 @@ from paireffect.models import (
     TreatmentDomainError,
     bin_index,
     build_model,
-    head_routing,
     load_model,
     predict_ites,
     predict_outcomes,
@@ -46,9 +45,9 @@ def test_head_routing_domain_errors():
     bm = build_model(mode="binary", input_dim=2)
     cm = build_model(mode="continuous", input_dim=2)
     with pytest.raises(TreatmentDomainError):
-        head_routing(bm, np.array([0.0, 0.5]))
+        bm.route(np.array([0.0, 0.5]))
     with pytest.raises(TreatmentDomainError):
-        head_routing(cm, np.array([0.2, 1.3]))
+        cm.route(np.array([0.2, 1.3]))
 
 
 def test_predictions_deterministic_and_head_dependent(rng):

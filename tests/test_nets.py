@@ -60,6 +60,14 @@ def test_l2_zero_reg_is_zero(small_model):
     assert l2_penalty(small_model.params, RegConfig(l2_phi=0.0, l2_head=0.0)) == 0.0
 
 
+@pytest.mark.parametrize("name, value", [
+    ("l2_phi", float("nan")), ("l2_head", float("inf")), ("l2_head", -1e-4),
+])
+def test_reg_config_rejects_non_finite_and_negative_weights(name, value):
+    with pytest.raises(ValueError, match=name):
+        RegConfig(**{name: value})
+
+
 def test_gradient_matches_finite_difference_factual(rng):
     batch = random_pair_batch(rng, n=30)
     gap = finite_diff_check(

@@ -36,6 +36,16 @@ def test_pairing_config_validation():
             PairingConfig(num_neighbors=k)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("temperature", float("nan")), ("temperature", float("inf")),
+    ("continuous_halfwidth", float("nan")),
+    ("continuous_halfwidth", float("inf")),
+])
+def test_pairing_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        PairingConfig(**{name: value})
+
+
 def test_same_seed_gives_bit_identical_pairs():
     a = quick_pairs(seed=42, num_neighbors=2)
     b = quick_pairs(seed=42, num_neighbors=2)

@@ -56,6 +56,15 @@ def test_config_validation():
             TrainConfig.from_dict({"pairing": {"num_neighbors": k}})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("lr", float("nan")), ("lr", float("inf")), ("batch_size", 2.5),
+    ("batch_size", True), ("max_epochs", 3.0), ("patience", 2.5),
+])
+def test_config_rejects_non_finite_and_non_int_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        TrainConfig(**{name: value})
+
+
 def test_training_does_not_revalidate_rows(monkeypatch):
     ds = binary_dataset(n=120)
     calls = []
@@ -175,6 +184,21 @@ def test_pair_binary_requires_binary_outcomes():
     ds = binary_dataset(n=60, seed=7)  # real-valued y
     with pytest.raises(ValueError):
         train(ds, fast_config(loss=LossConfig(kind="pair_binary")))
+
+
+def test_pair_binary_rejects_real_valued_outcomes_before_psi_training(
+        monkeypatch):
+    from paireffect import nets
+
+    steps = []
+    step = nets.loss_and_gradient
+    monkeypatch.setattr(nets, "loss_and_gradient",
+                        lambda *args: steps.append(1) or step(*args))
+    ds = binary_dataset(n=60, seed=7)  # real-valued y
+    with pytest.raises(ValueError, match="0/1 outcomes"):
+        train(ds, fast_config(loss=LossConfig(kind="pair_binary"),
+                              psi=PSI_FACTUAL))
+    assert steps == []  # not one step, the psi model's included
 
 
 def _binary_outcome_dataset():
