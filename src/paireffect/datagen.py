@@ -190,12 +190,14 @@ class GPToy:
         tau_hat = f_eff @ rng.standard_normal(len(self.grid))
         return mu0_hat, tau_hat
 
-    def mu_values(self, x, t, mu0_grid=None, tau_grid=None):
-        mu0_grid = self.mu0 if mu0_grid is None else mu0_grid
-        tau_grid = self.tau if tau_grid is None else tau_grid
-        base = np.interp(x, self.grid, mu0_grid)
-        eff = np.interp(x, self.grid, tau_grid)
-        return base + np.asarray(t, dtype=float) * eff
+    def mu_values(self, x, t, mu0_grid, tau_grid):
+        return _gp_outcome(self.grid, mu0_grid, tau_grid, x, t)
+
+
+def _gp_outcome(grid, mu0, tau, x, t):
+    """interp(mu0) + t * interp(tau) at 1-D covariates x."""
+    return (np.interp(x, grid, mu0)
+            + np.asarray(t, dtype=float) * np.interp(x, grid, tau))
 
 
 def ite_risk_quadrature(grid, weights, tau_true, tau_hat) -> float:
@@ -225,17 +227,16 @@ def gen_gp_toy(config: GPToyConfig) -> GPToy:
     x1 = rng.normal(GP_BASE_MEAN + config.shift, 1.0, size=config.n1)
     x = np.concatenate([x0, x1])
     t = np.concatenate([np.zeros(config.n0), np.ones(config.n1)])
-    mu_obs = np.interp(x, grid, mu0) + t * np.interp(x, grid, tau)
-    y = mu_obs + rng.normal(0.0, config.noise_sd, size=len(x))
+    y = _gp_outcome(grid, mu0, tau, x, t) + rng.normal(
+        0.0, config.noise_sd, size=len(x))
 
     n = config.n0 + config.n1
     weights = (config.n0 / n) * _normal_pdf(grid, GP_BASE_MEAN, 1.0) + (
         config.n1 / n
     ) * _normal_pdf(grid, GP_BASE_MEAN + config.shift, 1.0)
 
-    def oracle_fn(ids, xs, tv, _grid=grid, _mu0=mu0.copy(), _tau=tau.copy()):
-        base = np.interp(xs[:, 0], _grid, _mu0)
-        return base + tv * np.interp(xs[:, 0], _grid, _tau)
+    def oracle_fn(ids, xs, tv, _grids=(grid, mu0.copy(), tau.copy())):
+        return _gp_outcome(*_grids, xs[:, 0], tv)
 
     ds = Dataset(
         x=x[:, None],
@@ -515,24 +516,18 @@ def split_stratified(ds: Dataset, val_fraction, rng):
     binary data, plain random for continuous."""
     if not 0.0 < val_fraction < 1.0:
         raise ValueError("val_fraction must be in (0, 1)")
-    n = len(ds)
-    val_idx = []
     if ds.mode == BINARY:
-        for g in (0.0, 1.0):
-            rows = np.flatnonzero(ds.t == g)
-            if len(rows) < 2:
-                raise ValueError(f"treatment group {int(g)} has < 2 members")
-            take = int(np.floor(val_fraction * len(rows) + 0.5))
-            take = min(max(take, 1), len(rows) - 1)
-            perm = rng.permutation(rows)
-            val_idx.append(perm[:take])
-        val_idx = np.concatenate(val_idx)
+        groups = {f"treatment group {g}": np.flatnonzero(ds.t == g)
+                  for g in (0, 1)}
     else:
-        take = int(np.floor(val_fraction * n + 0.5))
-        take = min(max(take, 1), n - 1)
-        val_idx = rng.permutation(n)[:take]
-    mask = np.zeros(n, dtype=bool)
-    mask[val_idx] = True
+        groups = {"the dataset": np.arange(len(ds))}
+    mask = np.zeros(len(ds), dtype=bool)
+    for name, rows in groups.items():
+        if len(rows) < 2:
+            raise ValueError(f"{name} has < 2 members")
+        take = int(np.floor(val_fraction * len(rows) + 0.5))
+        take = min(max(take, 1), len(rows) - 1)
+        mask[rng.permutation(rows)[:take]] = True
     return ds.subset(np.flatnonzero(~mask)), ds.subset(np.flatnonzero(mask))
 
 

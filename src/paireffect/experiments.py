@@ -134,8 +134,15 @@ def mmd_shift_toy(n_per_side=2000, u=-1.0, s=2.0, num_neighbors=1,
 # Descriptor-driven experiments
 
 
+def _is_integral(value) -> bool:
+    """An int, or a float with no fractional part; not a bool."""
+    return type(value) is not bool and isinstance(
+        value, (int, float, np.integer)) and float(value).is_integer()
+
+
 def _check_descriptor(descriptor) -> None:
-    """Reject, before any cell runs, keys that no part of the run reads."""
+    """Reject, before any cell runs, keys that no part of the run reads, and
+    counts and seeds that are not integers."""
     gen, spec = descriptor.get("generator"), descriptor.get("csv")
     if (gen is None) == (not spec):
         raise ValueError("descriptor needs exactly one of 'generator' and 'csv'")
@@ -148,11 +155,25 @@ def _check_descriptor(descriptor) -> None:
     if {"loss", "seed"} & set(train):
         raise ValueError("train keys loss and seed are set per cell, from "
                          "methods, alpha, seed and seeds")
+    grid = descriptor.get("grid", {})
     for part, keys in (("descriptor", descriptor), (source, gen or spec),
-                       ("grid", descriptor.get("grid", {})), ("train", train)):
+                       ("grid", grid), ("train", train)):
         unknown = sorted(set(keys) - _READ_KEYS[part])
         if unknown:
             raise ValueError(f"unknown {part} keys {unknown}")
+    shadowed = [f"pairing.{key}" for key in _PAIRING_GRID_KEYS
+                if key in grid and key in train.get("pairing", {})]
+    shadowed += [key for key in ("alpha", "psi") if key in grid and key in train]
+    if shadowed:
+        raise ValueError(f"train keys {shadowed} are set per cell by the grid")
+    counts = [(f"{source} key {key!r}", (gen or spec)[key])
+              for key in ("n", "n_test", "dim") if key in (gen or spec)]
+    counts += [("descriptor key 'seed'", descriptor.get("seed", 0))]
+    counts += [("descriptor key 'seeds' entry", seed)
+               for seed in descriptor["seeds"]]
+    for name, value in counts:
+        if not _is_integral(value):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 def _dataset_from_descriptor(descriptor, data_seed):
@@ -253,6 +274,8 @@ def run_experiment(descriptor, out_dir) -> dict:
     if not seeds:
         raise ValueError("descriptor lists no seeds")
     _check_descriptor(descriptor)
+    # cells derive their streams from the integers results.csv reports
+    seeds = [int(seed) for seed in seeds]
     global_seed = int(descriptor.get("seed", 0))
     overrides = descriptor.get("train", {})
     grid = descriptor.get("grid", {})
@@ -274,12 +297,12 @@ def run_experiment(descriptor, out_dir) -> dict:
                 train_ds.x[train_ds.t == 0], train_ds.x[train_ds.t == 1],
                 bandwidth=sigma,
             )
-        data_diags[int(seed)] = diag
+        data_diags[seed] = diag
         for method in methods:
             for combo_idx, combo in enumerate(combos):
                 cell = dict(zip(axes, combo))
                 cell_seed = derive_seed(global_seed, method, seed, combo_idx)
-                row = {"method": method, "seed": int(seed), **cell}
+                row = {"method": method, "seed": seed, **cell}
                 try:
                     config = _cell_config(method, cell, overrides, cell_seed)
                     model, record = train(train_ds, config)
@@ -295,7 +318,7 @@ def run_experiment(descriptor, out_dir) -> dict:
                     row["val_loss"] = record.best_val
                     row["epochs"] = record.stop_epoch
                     if method != FACTUAL and train_ds.mode == BINARY:
-                        key = (int(seed), tuple(sorted(
+                        key = (seed, tuple(sorted(
                             asdict(config.pairing).items())))
                         if key not in mmd_cache:
                             mmd_cache[key] = _pair_shift_mmd(
@@ -307,7 +330,7 @@ def run_experiment(descriptor, out_dir) -> dict:
                         row["mmd_p_q"] = mmd_cache[key]
                 except Exception as exc:  # noqa: BLE001 - cell isolation
                     failures.append({
-                        "method": method, "seed": int(seed), **cell,
+                        "method": method, "seed": seed, **cell,
                         "error": type(exc).__name__, "message": str(exc),
                     })
                     continue
@@ -325,7 +348,7 @@ def run_experiment(descriptor, out_dir) -> dict:
     summary = {
         "name": descriptor.get("name", "experiment"),
         "seed": global_seed,
-        "seeds": [int(s) for s in seeds],
+        "seeds": seeds,
         "methods": {},
         "comparisons": {},
         "data_diagnostics": data_diags,

@@ -56,8 +56,8 @@ def mmd_rbf(x, y, bandwidth) -> float:
     if x.shape[0] == 0 or y.shape[0] == 0 or x.shape[1] != y.shape[1]:
         raise ValueError("samples must be non-empty with equal dimension")
     sigma = float(bandwidth)
-    if sigma <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"bandwidth must be finite and positive, not {sigma!r}")
     val = (
         _mean_kernel(x, x, sigma)
         + _mean_kernel(y, y, sigma)

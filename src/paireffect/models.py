@@ -10,7 +10,7 @@ inside a bin (they may jump at bin edges).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -140,10 +140,13 @@ def three_way_logits(p0, p1, p0_prime, p1_prime, t):
 
 
 def save_model(model, path) -> None:
+    """JSON of the network's shape, layer specs and parameters."""
     doc = {
         "input_dim": model.input_dim,
         "mode": model.mode,
         "arch": model.arch,
+        "phi_specs": [asdict(spec) for spec in model.phi_specs],
+        "head_specs": [asdict(spec) for spec in model.head_specs],
         "params": json.loads(model.params.to_json()),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -153,12 +156,11 @@ def save_model(model, path) -> None:
 def load_model(path) -> TwoHeadedNetwork:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    phi_specs, head_specs = _specs(doc["arch"], doc["mode"], doc["input_dim"])
     return TwoHeadedNetwork(
         input_dim=doc["input_dim"],
         mode=doc["mode"],
         arch=doc["arch"],
-        phi_specs=phi_specs,
-        head_specs=head_specs,
+        phi_specs=[LayerSpec(**spec) for spec in doc["phi_specs"]],
+        head_specs=[LayerSpec(**spec) for spec in doc["head_specs"]],
         params=ParamStore.from_json(json.dumps(doc["params"])),
     )

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -350,13 +350,16 @@ def create_pair_ds(anchors: Dataset, candidates: Dataset,
     # can hold it
     same_table = mode == CONTINUOUS and anchors.source == candidates.source
 
-    def span_rows(g, pos):
-        """Distances of the anchors at positions pos of binary span g to
-        its slab."""
-        a0, _, c0, c1 = spans[g]
+    def read(g, pos, lo, hi):
+        """Distances from span g's anchors at positions pos of its target
+        order (an index array, or a slice, which views a binary table in
+        place) to the t-sorted candidates lo:hi."""
+        a0, a1, c0, _ = spans[g]
         if distances is None:
-            return _distances(e_anchor[a_order[pos]], e_cand[c0:c1])
-        return distances[g][pos - a0]
+            return _distances(e_anchor[a_order[a0:a1][pos]], e_cand[lo:hi])
+        if mode == BINARY:  # rows in target order within the span
+            return distances[g][pos, lo - c0:hi - c0]
+        return distances[0][a_order[pos], lo:hi]  # rows in table order
 
     nbr = np.empty((len(anchors), k), dtype=np.intp)
     dist = np.empty((len(anchors), k))
@@ -372,10 +375,10 @@ def create_pair_ds(anchors: Dataset, candidates: Dataset,
         prune = False
         if mode == BINARY and lam > 0 and c1 - c0 > k and a1 > a0:
             m = min(_SAMPLE, a1 - a0)
-            sample = a0 + np.arange(m) * (a1 - a0) // m
+            sample = np.arange(m) * (a1 - a0) // m
             n_near = 0
             for i in range(0, m, step):
-                d = span_rows(g, sample[i:i + step])
+                d = read(g, sample[i:i + step], c0, c1)
                 n_near += np.count_nonzero(d <= _near_bound(d, k, lam)[:, None])
             prune = n_near <= _DENSE_SHARE * m * (c1 - c0)
         for start in range(a0, a1, step):
@@ -393,12 +396,7 @@ def create_pair_ds(anchors: Dataset, candidates: Dataset,
                     t_c, np.nextafter(target[a_rows[-1]] + reach, np.inf),
                     "right")
             cols = c_order[lo:hi]
-            if distances is None:
-                d = _distances(e_anchor[a_rows], e_cand[lo:hi])
-            elif mode == BINARY:
-                d = distances[g][start - a0:end - a0]
-            else:
-                d = distances[0][a_rows, lo:hi]
+            d = read(g, slice(start - a0, end - a0), lo, hi)
             # exponential race: the k smallest lam * d + log(E) are the k
             # largest Gumbel keys -lam * d + G, since -log(E) is a standard
             # Gumbel
@@ -447,8 +445,8 @@ def create_pair_ds(anchors: Dataset, candidates: Dataset,
             _arrival(first, far[pos], lam, bound[pos]) < top_keys[pos, -1]):
         p, a = pos[i], a_order[pos[i]]
         g = int(p >= spans[0][1])
-        c0, c1 = spans[g][2:]
-        nbr[a], dist[a] = _thin(rng, span_rows(g, pos[i:i + 1])[0], bound[p],
+        a0, _, c0, c1 = spans[g]
+        nbr[a], dist[a] = _thin(rng, read(g, [p - a0], c0, c1)[0], bound[p],
                                 lam, first[i], top_keys[p], nbr[a], dist[a],
                                 c_order[c0:c1])
     for a, cols, d in short:
@@ -469,11 +467,9 @@ def create_pair_ds(anchors: Dataset, candidates: Dataset,
         distance=dists[order],
         target_t=target[rows_a] if mode == CONTINUOUS else None,
         provenance={
-            "seed": int(rng_seed),
             "skipped_anchors": int(len(anchors) - len(paired)),
             "fallback_anchors": len(short),
             "pre_trim_size": int(len(dists)),
-            "config": asdict(config),
         },
     )
 

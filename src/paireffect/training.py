@@ -41,8 +41,7 @@ PSI_FACTUAL = "factual"
 _PSI_KINDS = (PSI_IDENTITY, PSI_RANDOM, PSI_FACTUAL)
 
 
-_COERCE = {"lr": float, "batch_size": int, "max_epochs": int, "patience": int,
-           "val_fraction": float}
+_COERCE = {"lr": float, "val_fraction": float}
 
 
 @dataclass
@@ -81,15 +80,19 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, doc) -> "TrainConfig":
         """Build a config from JSON-style values: `loss`, `pairing` and `reg`
-        are dicts of their configs' fields, lr, batch_size, max_epochs,
-        patience and val_fraction are coerced to their types, and every
-        other value passes through as given, so config_hash still tells a
-        temperature of 5 from 5.0.  Unknown keys raise ValueError."""
+        are dicts of their configs' fields, lr and val_fraction become
+        floats, an integral float count (batch_size 50.0) its int, and every
+        other value passes through as given, so a count of 2.5 or true
+        raises ValueError and config_hash still tells a temperature of 5
+        from 5.0.  Unknown keys raise ValueError."""
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown train config keys {sorted(unknown)}")
         kwargs = {key: _COERCE[key](value) if key in _COERCE else value
                   for key, value in doc.items()}
+        for key in ("batch_size", "max_epochs", "patience"):
+            if type(kwargs.get(key)) is float and kwargs[key].is_integer():
+                kwargs[key] = int(kwargs[key])
         for key, sub in (("loss", LossConfig), ("pairing", PairingConfig),
                          ("reg", RegConfig)):
             if key in kwargs:
@@ -144,15 +147,17 @@ def fixed_embedding(psi, dim, seed):
     return IdentityEmbedding(dim)
 
 
-def _embedding_provider(config: TrainConfig, ds: Dataset):
+def _embedding_provider(config: TrainConfig, ds: Dataset, notes: dict):
     """The pair-distance embedding; psi="factual" trains a factual-loss
-    model first (same early-stopping rule) and freezes its representation."""
+    model first (same early-stopping rule), freezes its representation and
+    writes its epochs to notes["psi_epochs"]."""
     if config.psi != PSI_FACTUAL:
-        return fixed_embedding(config.psi, ds.dim, config.seed), None
+        return fixed_embedding(config.psi, ds.dim, config.seed)
     inner = replace(config, loss=LossConfig(kind=losses.FACTUAL),
                     psi=PSI_IDENTITY, seed=derive_seed(config.seed, "psi"))
     psi_model, psi_record = train(ds, inner)
-    return PhiEmbedding(psi_model), psi_record
+    notes["psi_epochs"] = psi_record.stop_epoch
+    return PhiEmbedding(psi_model)
 
 
 def train(ds: Dataset, config: TrainConfig):
@@ -170,47 +175,39 @@ def train(ds: Dataset, config: TrainConfig):
     model = build_model(
         config.arch, ds.mode, ds.dim, rng_seed=derive_seed(config.seed, "init")
     )
-    chash = config.config_hash()
+    record = RunRecord(config.config_hash(), [], [], 0, 0, float("inf"))
     if config.max_epochs == 0:
-        record = RunRecord(chash, [], [], 0, 0, float("inf"),
-                           model_hash=_params_hash(model))
+        record.model_hash = _params_hash(model)
         return model, record
 
     train_ds, val_ds = split_stratified(
         ds, config.val_fraction,
         np.random.default_rng(derive_seed(config.seed, "split")),
     )
-    notes = {}
     if pair_based:
-        provider, psi_record = _embedding_provider(config, ds)
-        if psi_record is not None:
-            notes["psi_epochs"] = psi_record.stop_epoch
+        provider = _embedding_provider(config, ds, record.notes)
         val_batch = create_pair_ds(
             val_ds, ds, config.pairing, provider,
             derive_seed(config.seed, "val-pairs"),
         )
-        notes["n_val_pairs"] = len(val_batch)
-        notes["val_skipped_anchors"] = val_batch.provenance["skipped_anchors"]
+        record.notes.update(
+            n_val_pairs=len(val_batch),
+            val_skipped_anchors=val_batch.provenance["skipped_anchors"])
         train_distances = pair_distances(train_ds, train_ds, provider)
     else:
-        provider = None
         val_batch = val_ds
 
     state = nets.adam_init(model.params, lr=config.lr)
-    train_losses, val_losses, pair_hashes = [], [], []
-    best_val = float("inf")
     best_params = model.params.copy()
-    best_epoch = 0
-    since_best = 0
-    epoch = 0
     for epoch in range(1, config.max_epochs + 1):
+        record.stop_epoch = epoch
         if pair_based:
             data = create_pair_ds(
                 train_ds, train_ds, config.pairing, provider,
                 derive_seed(config.seed, "train-pairs", epoch),
                 distances=train_distances,
             )
-            pair_hashes.append(data.content_hash())
+            record.pair_hashes.append(data.content_hash())
         else:
             data = train_ds
         # one shuffle per epoch; minibatches are slices (views) of it
@@ -224,35 +221,21 @@ def train(ds: Dataset, config: TrainConfig):
             )
             model.params, state = nets.adam_step(model.params, grads, state)
             total += value * len(batch)
-        train_losses.append(total / len(data))
+        record.train_losses.append(total / len(data))
         val = losses.objective_value(model, val_batch, objective)
         if not np.isfinite(val):
             raise nets.NonFiniteValue(f"validation loss {val} at epoch {epoch}")
-        val_losses.append(val)
-        if val < best_val:
-            best_val = val
+        record.val_losses.append(val)
+        if val < record.best_val:
+            record.best_val, record.best_epoch = val, epoch
             best_params = model.params.copy()
-            best_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
-        if since_best >= config.patience:
+        elif epoch - record.best_epoch >= config.patience:
             break
 
     model.params = best_params
     if config.loss.kind == losses.PAIR_BINARY:
-        notes["clamped_targets"] = objective.clamped_targets
-    record = RunRecord(
-        config_hash=chash,
-        train_losses=train_losses,
-        val_losses=val_losses,
-        stop_epoch=epoch,
-        best_epoch=best_epoch,
-        best_val=best_val,
-        pair_hashes=pair_hashes,
-        model_hash=_params_hash(model),
-        notes=notes,
-    )
+        record.notes["clamped_targets"] = objective.clamped_targets
+    record.model_hash = _params_hash(model)
     return model, record
 
 

@@ -83,7 +83,7 @@ def test_pairs_random_projection_matches_training_embedding(tmp_path, capsys):
                     "--psi", "random_projection", "--seed", "3")
     assert rc == 0
     ds = load_csv(data)
-    provider, _ = _embedding_provider(TrainConfig(psi=PSI_RANDOM, seed=3), ds)
+    provider = _embedding_provider(TrainConfig(psi=PSI_RANDOM, seed=3), ds, {})
     expected = tmp_path / "expected.csv"
     save_pairs_csv(create_pair_ds(ds, ds, PairingConfig(), provider, 3),
                    expected)
@@ -142,6 +142,22 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
                       "--config", str(config))
     assert rc == 1
     assert doc["error"] == "ValueError" and "max_epoch" in doc["message"]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("batch_size", 2.5), ("max_epochs", 3.7), ("patience", 1.9),
+])
+def test_train_rejects_non_integral_config_counts(tmp_path, capsys, name,
+                                                  value):
+    data = tmp_path / "data.csv"
+    assert main(["gen", "polynomial", "--n", "40", "--out", str(data)]) == 0
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({name: value}))
+    capsys.readouterr()
+    rc, doc = run_cli(capsys, "train", "--data", str(data),
+                      "--config", str(config))
+    assert rc == 1
+    assert doc["error"] == "ValueError" and name in doc["message"]
 
 
 def test_train_rejects_config_keys_a_flag_owns(tmp_path, capsys):

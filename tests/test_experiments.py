@@ -152,10 +152,13 @@ def test_run_experiment_rejects_unknown_train_keys_before_any_cell(tmp_path):
 def test_run_experiment_rejects_unread_keys_before_any_cell(tmp_path):
     rows = tmp_path / "rows.csv"
     save_csv(gen_polynomial_synth(60, np.random.default_rng(0)), str(rows))
-    csv_only = tiny_descriptor(csv={"path": str(rows), "n_tests": 20})
-    del csv_only["generator"]
-    no_path = tiny_descriptor(csv={"mode": "binary", "n_test": 20})
-    del no_path["generator"]
+    def no_generator(**kw):
+        desc = tiny_descriptor(**kw)
+        del desc["generator"]
+        return desc
+
+    csv_only = no_generator(csv={"path": str(rows), "n_tests": 20})
+    no_path = no_generator(csv={"mode": "binary", "n_test": 20})
     cases = {
         "seed": tiny_descriptor(train={**BASE_TRAIN, "seed": 5}),
         "loss": tiny_descriptor(train={**BASE_TRAIN,
@@ -168,11 +171,45 @@ def test_run_experiment_rejects_unread_keys_before_any_cell(tmp_path):
         "n_tests": csv_only,
         "'path'": no_path,
         "exactly one": tiny_descriptor(csv={"path": str(rows), "n_test": 20}),
+        # counts and seeds that a cell would truncate
+        "generator key 'n' ": tiny_descriptor(generator={"kind": "polynomial",
+                                                         "n": 60.9}),
+        "'n_test'": tiny_descriptor(generator={"kind": "polynomial",
+                                               "n_test": True}),
+        "'dim'": tiny_descriptor(generator={"kind": "continuous",
+                                            "family": "tcga0", "dim": 5.5}),
+        "csv key 'n_test'": no_generator(csv={"path": str(rows),
+                                              "n_test": 20.5}),
+        "'seeds'": tiny_descriptor(seeds=[0, 1.5]),
+        "'seed'": tiny_descriptor(seed=2.7),
+        # train keys the grid sets per cell
+        r"\['pairing.temperature'\]": tiny_descriptor(
+            train={**BASE_TRAIN, "pairing": {"temperature": 7.0}},
+            grid={"temperature": [5.0]}),
+        r"\['pairing.num_neighbors', 'psi'\]": tiny_descriptor(
+            grid={"num_neighbors": [1], "psi": ["factual"]}),
+        r"\['alpha'\]": tiny_descriptor(train={**BASE_TRAIN, "alpha": 1.0},
+                                        grid={"alpha": [0.5]}),
     }
     for i, (named, desc) in enumerate(cases.items()):
         with pytest.raises(ValueError, match=named):
             run_experiment(desc, str(tmp_path / str(i)))
         assert not (tmp_path / str(i)).exists()
+
+
+def test_run_experiment_takes_integral_floats_as_integers(tmp_path):
+    generator = {"kind": "polynomial", "n": 60, "n_test": 30}
+    ints = run_experiment(tiny_descriptor(methods=["factual"], seeds=[1],
+                                          generator=generator),
+                          str(tmp_path / "ints"))
+    floats = run_experiment(
+        tiny_descriptor(methods=["factual"], seeds=[1.0], seed=7.0,
+                        generator={**generator, "n": 60.0, "n_test": 30.0}),
+        str(tmp_path / "floats"))
+    assert floats["seeds"] == [1]
+    assert ((tmp_path / "floats" / "results.csv").read_text()
+            == (tmp_path / "ints" / "results.csv").read_text())
+    assert floats["methods"] == ints["methods"]
 
 
 def test_run_experiment_csv_source(tmp_path):

@@ -48,6 +48,12 @@ def test_mmd_symmetric_and_nonnegative(rng):
     assert mmd_rbf(x, y, bandwidth=2.0) >= 0.0
 
 
+@pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan"), float("inf")])
+def test_mmd_rejects_bad_bandwidth(bandwidth):
+    with pytest.raises(ValueError, match="bandwidth"):
+        mmd_rbf(np.zeros((3, 2)), np.ones((3, 2)), bandwidth=bandwidth)
+
+
 def test_median_heuristic_matches_median_pairwise(rng):
     pooled = rng.normal(size=(50, 2))
     d = np.sqrt(

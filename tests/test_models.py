@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import tiny_network
 from paireffect.models import (
     TreatmentDomainError,
     bin_index,
@@ -103,13 +104,23 @@ def test_three_way_logits_validates_inputs():
 
 
 def test_model_json_round_trip(tmp_path, rng):
-    model = build_model(arch="deep", mode="continuous", input_dim=6, rng_seed=9)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    clone = load_model(path)
-    x = rng.normal(size=(5, 6))
-    t = rng.uniform(size=5)
-    assert np.array_equal(
-        predict_outcomes(model, x, t), predict_outcomes(clone, x, t)
-    )
-    assert clone.arch == "deep" and clone.mode == "continuous"
+    x = rng.normal(size=(5, 3))
+    for i, model in enumerate([
+        build_model(arch="deep", mode="continuous", input_dim=3, rng_seed=9),
+        build_model(arch="shallow", mode="binary", input_dim=3, rng_seed=2),
+        tiny_network(seed=3, mode="binary"),
+        tiny_network(seed=4, mode="continuous"),
+    ]):
+        path = tmp_path / f"model{i}.json"
+        save_model(model, path)
+        clone = load_model(path)
+        t = (rng.uniform(size=5) if model.mode == "continuous"
+             else rng.integers(0, 2, size=5))
+        assert np.array_equal(
+            predict_outcomes(model, x, t), predict_outcomes(clone, x, t)
+        )
+        assert (clone.arch, clone.mode) == (model.arch, model.mode)
+        assert (clone.phi_specs, clone.head_specs) == (model.phi_specs,
+                                                       model.head_specs)
+        # model_hash hashes this text
+        assert clone.params.to_json() == model.params.to_json()

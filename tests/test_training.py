@@ -65,6 +65,21 @@ def test_config_rejects_non_finite_and_non_int_values(name, value):
         TrainConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["batch_size", "max_epochs", "patience"])
+@pytest.mark.parametrize("value", [2.5, True])
+def test_from_dict_rejects_non_integral_counts(name, value):
+    with pytest.raises(ValueError, match=name):
+        TrainConfig.from_dict({name: value})
+
+
+def test_from_dict_takes_integral_floats_as_ints():
+    config = TrainConfig.from_dict(
+        {"batch_size": 50.0, "max_epochs": 7.0, "patience": 3.0})
+    assert (config.batch_size, config.max_epochs, config.patience) == (50, 7, 3)
+    assert config.config_hash() == TrainConfig(
+        batch_size=50, max_epochs=7, patience=3).config_hash()
+
+
 def test_training_does_not_revalidate_rows(monkeypatch):
     ds = binary_dataset(n=120)
     calls = []
