@@ -62,6 +62,7 @@ from .theory import (
     confounded_scene,
     consistency_sweep,
     random_scene,
+    risk_terms,
     verify_ite_bound,
     verify_lemma_identity,
 )

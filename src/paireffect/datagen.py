@@ -395,8 +395,8 @@ def gen_continuous_response(covariates, family, rng, dosage_bias=2.0,
 
     Projection-based families (news, tcga*) draw three normalized Gaussian
     directions; rows whose projections make a denominator or Beta parameter
-    degenerate get their projection triple rejection-resampled from another
-    valid row, with a counter on the returned oracle.
+    degenerate take the projection triple of a random valid row, counted in
+    the returned oracle's resampled_rows.
     """
     x = np.atleast_2d(np.asarray(covariates, dtype=float))
     n, d = x.shape
@@ -433,15 +433,8 @@ def gen_continuous_response(covariates, family, rng, dosage_bias=2.0,
     if len(good_rows) == 0 and np.any(bad):
         raise DegenerateRow("every row degenerate for family " + family)
     for i in np.flatnonzero(bad):
-        for _ in range(100):
-            j = good_rows[rng.integers(len(good_rows))]
-            cand = proj[j] + 0.0
-            if not degenerate(cand[None, :])[0]:
-                proj[i] = cand
-                overrides[int(i)] = [float(c) for c in cand]
-                break
-        else:
-            raise DegenerateRow(f"row {i} could not be resampled")
+        proj[i] = proj[good_rows[rng.integers(len(good_rows))]]
+        overrides[int(i)] = [float(c) for c in proj[i]]
 
     p1, p2, p3 = proj[:, 0], proj[:, 1], proj[:, 2]
     if family == NEWS:

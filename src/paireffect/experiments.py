@@ -282,7 +282,6 @@ def run_experiment(descriptor, out_dir) -> dict:
     axes = [k for k in _GRID_KEYS if k in grid]
     combos = list(itertools.product(*(grid[k] for k in axes))) or [()]
 
-    os.makedirs(out_dir, exist_ok=True)
     rows, failures = [], []
     mmd_cache = {}
     data_diags = {}
@@ -343,6 +342,8 @@ def run_experiment(descriptor, out_dir) -> dict:
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
+    # made only now, so a dataset that cannot be built leaves no directory
+    os.makedirs(out_dir, exist_ok=True)
     _write_atomic(os.path.join(out_dir, "results.csv"), buf.getvalue())
 
     summary = {

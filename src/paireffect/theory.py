@@ -1,12 +1,13 @@
-"""Executable checks of the risk identities on finite 1-D scenes.
+"""Executable checks of the risk identities on finite supports.
 
-A scene fixes support points, per-arm covariate masses p_0/p_1, arm
-marginals u_0/u_1, polynomial error residuals r_0/r_1, and the neighbor
-kernel q_t(x'|x) (softmax of -lambda |x - x'| over the opposite arm's
-support).  On such scenes every risk functional is an exact finite sum, so
-the identity between the ITE risk and the pair risk can be asserted to
-floating-point accuracy, and the upper bound can be evaluated with exact
-1-D Wasserstein distances and exact polynomial Lipschitz constants.
+`risk_terms` computes every risk functional as exact sums over arrays:
+residuals r_0/r_1, arm masses p_0/p_1, the control share u_0 and the
+row-stochastic neighbor kernels q_0/q_1.  So the identity between the ITE
+risk and the pair risk holds to floating-point accuracy on any finite
+support, a trained model's held-out rows included.  A 1-D `FiniteScene`
+produces those arrays from polynomial residuals and a softmax kernel of
+|x - x'|; its polynomials also give the upper bound exact Lipschitz
+constants, beside exact 1-D Wasserstein distances.
 
 Note on the identity's first term: the grouping that actually cancels is
 u_t with r_{1-t}^2 (p_t - q_t), i.e. each arm's own covariate-vs-neighbor
@@ -28,6 +29,16 @@ from .pairing import (PairingConfig, IdentityEmbedding, create_pair_ds,
 _MASS_TOL = 1e-9
 
 
+def softmax_kernel(d, opposite, lam) -> np.ndarray:
+    """Rows of d are anchors; each row is a softmax of -lam * d over the
+    columns where the opposite-arm mask `opposite` is set."""
+    if not np.any(opposite):
+        raise ValueError("opposite arm has empty support")
+    logits = np.where(opposite[None, :], -lam * d, -np.inf)
+    z = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    return z / np.sum(z, axis=1, keepdims=True)
+
+
 @dataclass
 class FiniteScene:
     xs: np.ndarray                 # support points, 1-D
@@ -36,16 +47,14 @@ class FiniteScene:
     u0: float                      # control marginal; u1 = 1 - u0
     r0_coeffs: np.ndarray          # residual polynomials, ascending coeffs
     r1_coeffs: np.ndarray
-    lam: float = 1.0
-    q0: np.ndarray | None = None   # optional explicit kernels (rows: anchors)
-    q1: np.ndarray | None = None
+    lam: float = 1.0               # kernel sharpness
 
     def __post_init__(self):
-        self.xs = np.asarray(self.xs, dtype=float)
-        self.p0 = np.asarray(self.p0, dtype=float)
-        self.p1 = np.asarray(self.p1, dtype=float)
-        self.r0_coeffs = np.asarray(self.r0_coeffs, dtype=float)
-        self.r1_coeffs = np.asarray(self.r1_coeffs, dtype=float)
+        for name in ("xs", "p0", "p1", "r0_coeffs", "r1_coeffs"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        for name in ("xs", "p0", "p1", "r0_coeffs", "r1_coeffs", "lam"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         m = len(self.xs)
         for name, mass in (("p0", self.p0), ("p1", self.p1)):
             if mass.shape != (m,) or np.any(mass < 0):
@@ -54,85 +63,59 @@ class FiniteScene:
                 raise ValueError(f"{name} must sum to 1")
         if not 0.0 <= self.u0 <= 1.0:
             raise ValueError("u0 must lie in [0, 1]")
-        if self.q0 is None:
-            self.q0 = self._kernel(opposite=self.p1)
-        if self.q1 is None:
-            self.q1 = self._kernel(opposite=self.p0)
-        for name, q in (("q0", self.q0), ("q1", self.q1)):
-            q = np.asarray(q, dtype=float)
-            if q.shape != (m, m) or np.any(q < 0):
-                raise ValueError(f"{name} must be a nonnegative (m, m) matrix")
-            if np.any(np.abs(np.sum(q, axis=1) - 1.0) > _MASS_TOL):
-                raise ValueError(f"{name} rows must sum to 1")
 
-    @property
-    def u1(self):
-        return 1.0 - self.u0
-
-    def _kernel(self, opposite):
-        """Rows: anchors; columns: neighbor mass over the opposite support."""
-        present = opposite > 0
-        if not np.any(present):
-            raise ValueError("opposite arm has empty support")
+    def arrays(self) -> tuple:
+        """The arguments of `risk_terms`: (r0, r1, p0, p1, u0, q0, q1)."""
         d = np.abs(self.xs[:, None] - self.xs[None, :])
-        logits = np.where(present[None, :], -self.lam * d, -np.inf)
-        z = np.exp(logits - np.max(logits, axis=1, keepdims=True))
-        return z / np.sum(z, axis=1, keepdims=True)
-
-    def r0(self, x):
-        return P.polyval(x, self.r0_coeffs)
-
-    def r1(self, x):
-        return P.polyval(x, self.r1_coeffs)
+        return (P.polyval(self.xs, self.r0_coeffs),
+                P.polyval(self.xs, self.r1_coeffs), self.p0, self.p1, self.u0,
+                softmax_kernel(d, self.p1 > 0, self.lam),
+                softmax_kernel(d, self.p0 > 0, self.lam))
 
 
-def scene_functionals(scene: FiniteScene) -> dict:
-    """All risk functionals of the scene as exact sums over the support."""
-    r0 = scene.r0(scene.xs)
-    r1 = scene.r1(scene.xs)
-    p_mix = scene.u0 * scene.p0 + scene.u1 * scene.p1
+def risk_terms(r0, r1, p0, p1, u0, q0, q1) -> dict:
+    """Every risk functional of a finite support as exact sums, and the
+    decomposition of (ITE risk - pair risk) into the marginal-gap term and
+    the residual-gap term; `gap` is the defect of that identity.  The
+    kernels must be row-stochastic for the identity to hold."""
+    u1 = 1.0 - u0
+    p_mix = u0 * p0 + u1 * p1
 
-    eps_f0 = float(np.sum(r0**2 * scene.p0))
-    eps_f1 = float(np.sum(r1**2 * scene.p1))
+    eps_f0 = float(np.sum(r0**2 * p0))
+    eps_f1 = float(np.sum(r1**2 * p1))
     eps_ite = float(np.sum((r1 - r0) ** 2 * p_mix))
 
     # pair risk: anchors of arm t against their opposite-arm neighbors
-    pair1 = np.sum(((r1[:, None] - r0[None, :]) ** 2) * scene.q1 * scene.p1[:, None])
-    pair0 = np.sum(((r0[:, None] - r1[None, :]) ** 2) * scene.q0 * scene.p0[:, None])
-    eps_pair = float(scene.u1 * pair1 + scene.u0 * pair0)
+    pair1 = np.sum(((r1[:, None] - r0[None, :]) ** 2) * q1 * p1[:, None])
+    pair0 = np.sum(((r0[:, None] - r1[None, :]) ** 2) * q0 * p0[:, None])
+    eps_pair = float(u1 * pair1 + u0 * pair0)
 
-    g01 = np.sum((r0[None, :] - r0[:, None]) * scene.q1, axis=1)
-    g10 = np.sum((r1[None, :] - r1[:, None]) * scene.q0, axis=1)
-    q0_marginal = scene.p0 @ scene.q0
-    q1_marginal = scene.p1 @ scene.q1
+    g01 = np.sum((r0[None, :] - r0[:, None]) * q1, axis=1)
+    g10 = np.sum((r1[None, :] - r1[:, None]) * q0, axis=1)
+    q0_marginal = p0 @ q0
+    q1_marginal = p1 @ q1
 
+    marginal_gap = (u0 * np.sum(r1**2 * (p0 - q0_marginal))
+                    + u1 * np.sum(r0**2 * (p1 - q1_marginal)))
+    residual_gap = (2.0 * u1 * np.sum(r1 * g01 * p1)
+                    + 2.0 * u0 * np.sum(r0 * g10 * p0))
+    lhs = eps_ite - eps_pair
+    rhs = float(marginal_gap + residual_gap)
     return {
-        "eps_ite": eps_ite,
-        "eps_pair": eps_pair,
-        "eps_f0": eps_f0,
-        "eps_f1": eps_f1,
-        "g01": g01,
-        "g10": g10,
-        "q0_marginal": q0_marginal,
-        "q1_marginal": q1_marginal,
+        "eps_ite": eps_ite, "eps_pair": eps_pair,
+        "eps_f0": eps_f0, "eps_f1": eps_f1,
+        "q0_marginal": q0_marginal, "q1_marginal": q1_marginal,
+        "marginal_gap": float(marginal_gap),
+        "residual_gap": float(residual_gap),
+        "lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs),
     }
 
 
 def verify_lemma_identity(scene: FiniteScene) -> dict:
-    """Exact decomposition of (ITE risk - pair risk) into the marginal-gap
-    term and the residual-gap term; `gap` is the defect of the identity."""
-    f = scene_functionals(scene)
-    r0 = scene.r0(scene.xs)
-    r1 = scene.r1(scene.xs)
-    term1 = scene.u0 * np.sum(r1**2 * (scene.p0 - f["q0_marginal"])) + (
-        scene.u1 * np.sum(r0**2 * (scene.p1 - f["q1_marginal"]))
-    )
-    term2 = 2.0 * scene.u1 * np.sum(r1 * f["g01"] * scene.p1) + (
-        2.0 * scene.u0 * np.sum(r0 * f["g10"] * scene.p0)
-    )
-    lhs = f["eps_ite"] - f["eps_pair"]
-    rhs = float(term1 + term2)
-    return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
+    """The risk identity on a scene: `lhs` (ITE risk - pair risk), `rhs`
+    (the sum of its two correction terms) and their defect `gap`."""
+    f = risk_terms(*scene.arrays())
+    return {key: f[key] for key in ("lhs", "rhs", "gap")}
 
 
 def _poly_abs_max(coeffs, lo, hi) -> float:
@@ -163,7 +146,10 @@ def verify_ite_bound(scene: FiniteScene) -> dict:
     over anchors.  ipm_term (sum_t u_t W1(p_t, q_t)) is reported beside
     W1(p_0, p_1) for the confounded-scene ordering check.
     """
-    f = scene_functionals(scene)
+    arrays = scene.arrays()
+    _, _, p0, p1, u0, q0, q1 = arrays
+    u1 = 1.0 - u0
+    f = risk_terms(*arrays)
     lo, hi = float(np.min(scene.xs)), float(np.max(scene.xs))
 
     k0 = _poly_abs_max(P.polyder(scene.r0_coeffs), lo, hi)
@@ -173,20 +159,17 @@ def verify_ite_bound(scene: FiniteScene) -> dict:
         _poly_abs_max(P.polyder(P.polymul(scene.r1_coeffs, scene.r1_coeffs)), lo, hi),
     )
 
+    # every arm has mass, so every arm has anchors
     d = np.abs(scene.xs[:, None] - scene.xs[None, :])
-    exp_dist = []
-    for q, p in ((scene.q0, scene.p0), (scene.q1, scene.p1)):
-        anchors = p > 0
-        if np.any(anchors):
-            exp_dist.append(np.max(np.sum(d[anchors] * q[anchors], axis=1)))
-    delta = float(max(exp_dist))
+    delta = float(max(np.max(np.sum(d[p > 0] * q[p > 0], axis=1))
+                      for q, p in ((q0, p0), (q1, p1))))
 
-    w1_0 = _w1_discrete(scene.xs, scene.p0, f["q0_marginal"])
-    w1_1 = _w1_discrete(scene.xs, scene.p1, f["q1_marginal"])
-    ipm_term = scene.u0 * w1_0 + scene.u1 * w1_1
+    w1_0 = _w1_discrete(scene.xs, p0, f["q0_marginal"])
+    w1_1 = _w1_discrete(scene.xs, p1, f["q1_marginal"])
+    ipm_term = u0 * w1_0 + u1 * w1_1
     bound = f["eps_pair"] + (
-        scene.u0 * (b * w1_0 + 2.0 * k1 * delta * np.sqrt(f["eps_f0"]))
-        + scene.u1 * (b * w1_1 + 2.0 * k0 * delta * np.sqrt(f["eps_f1"]))
+        u0 * (b * w1_0 + 2.0 * k1 * delta * np.sqrt(f["eps_f0"]))
+        + u1 * (b * w1_1 + 2.0 * k0 * delta * np.sqrt(f["eps_f1"]))
     )
     return {
         "eps_ite": f["eps_ite"],
@@ -195,7 +178,7 @@ def verify_ite_bound(scene: FiniteScene) -> dict:
         "margin": float(bound - f["eps_ite"]),
         "holds": bool(f["eps_ite"] <= bound + 1e-12),
         "ipm_term": float(ipm_term),
-        "w1_p0_p1": _w1_discrete(scene.xs, scene.p0, scene.p1),
+        "w1_p0_p1": _w1_discrete(scene.xs, p0, p1),
     }
 
 

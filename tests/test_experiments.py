@@ -253,6 +253,26 @@ def test_run_experiment_continuous_generator(tmp_path):
         run_experiment(bad, str(tmp_path / "bad"))
 
 
+def test_run_experiment_leaves_no_directory_without_a_dataset(tmp_path):
+    # nothing is written before results.csv, so a dataset that cannot be
+    # built must not leave an empty output directory behind
+    missing_csv = tiny_descriptor(csv={"path": str(tmp_path / "absent.csv"),
+                                       "n_test": 10})
+    del missing_csv["generator"]
+    cases = [
+        (ValueError, tiny_descriptor(generator={"kind": "continuous",
+                                                "family": "mystery"})),
+        (ValueError, tiny_descriptor(generator={"kind": "continuous"})),
+        (ValueError, tiny_descriptor(generator={"kind": "polynomial",
+                                                "n": 60, "n_test": 0})),
+        (FileNotFoundError, missing_csv),
+    ]
+    for i, (error, desc) in enumerate(cases):
+        with pytest.raises(error):
+            run_experiment(desc, str(tmp_path / str(i)))
+        assert not (tmp_path / str(i)).exists()
+
+
 def test_write_atomic_uses_its_own_temporary(tmp_path):
     target = tmp_path / "results.csv"
     # another writer's temporary under the old fixed name stays untouched

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
-from paireffect.losses import pair_loss_decomposition
+from paireffect.datagen import gen_polynomial_synth
+from paireffect.losses import LossConfig, pair_loss_decomposition
+from paireffect.models import predict_outcomes
+from paireffect.pairing import PairingConfig
 from paireffect.theory import (
     STRICT,
     VIOLATED,
@@ -9,11 +13,13 @@ from paireffect.theory import (
     confounded_scene,
     consistency_sweep,
     random_scene,
-    scene_functionals,
+    risk_terms,
+    softmax_kernel,
     verify,
     verify_ite_bound,
     verify_lemma_identity,
 )
+from paireffect.training import PSI_IDENTITY, TrainConfig, train
 
 
 def _uniform_scene(lam=1.0):
@@ -37,6 +43,24 @@ def test_scene_validation():
                     r0_coeffs=[1.0], r1_coeffs=[1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["xs", "p0", "p1", "r0_coeffs",
+                                   "r1_coeffs", "lam"])
+def test_scene_rejects_non_finite_values(field, bad):
+    # a NaN mass passes `abs(sum - 1) > tol`, and a NaN anywhere turns the
+    # identity's gap into NaN, so each field is checked where it enters
+    fields = dict(xs=np.linspace(0, 1, 4), p0=np.array([0.25, 0.5, 0.25, 0.0]),
+                  p1=np.full(4, 0.25), u0=0.5, r0_coeffs=np.array([1.0, 0.5]),
+                  r1_coeffs=np.array([0.2, -1.0]), lam=2.0)
+    if field == "lam":
+        fields["lam"] = bad
+    else:
+        fields[field] = fields[field].copy()
+        fields[field][0] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        FiniteScene(**fields)
+
+
 def test_identity_holds_on_fixed_scene():
     out = verify_lemma_identity(_uniform_scene())
     assert out["gap"] <= 1e-12
@@ -50,16 +74,11 @@ def test_identity_holds_on_random_scenes():
 
 
 def test_identity_with_explicit_kernel_override():
-    scene = _uniform_scene()
+    r0, r1, p0, p1, u0, _, _ = _uniform_scene().arrays()
     rng = np.random.default_rng(1)
     q = rng.uniform(0.1, 1.0, size=(9, 9))
     q /= q.sum(axis=1, keepdims=True)
-    custom = FiniteScene(
-        xs=scene.xs, p0=scene.p0, p1=scene.p1, u0=0.5,
-        r0_coeffs=scene.r0_coeffs, r1_coeffs=scene.r1_coeffs,
-        q0=q, q1=q.copy(),
-    )
-    assert verify_lemma_identity(custom)["gap"] <= 1e-12
+    assert risk_terms(r0, r1, p0, p1, u0, q, q.copy())["gap"] <= 1e-12
 
 
 def test_zero_residuals_make_all_risks_zero():
@@ -67,7 +86,7 @@ def test_zero_residuals_make_all_risks_zero():
         xs=np.linspace(0, 1, 5), p0=np.full(5, 0.2), p1=np.full(5, 0.2),
         u0=0.5, r0_coeffs=[0.0], r1_coeffs=[0.0],
     )
-    out = scene_functionals(scene)
+    out = risk_terms(*scene.arrays())
     assert out["eps_ite"] == 0.0
     assert out["eps_pair"] == 0.0
 
@@ -77,24 +96,22 @@ def test_sharp_kernel_with_identical_arms_closes_gap():
     # at the anchor, neighbors coincide with anchors and the pair risk equals
     # the ITE risk evaluated pointwise
     scene = _uniform_scene(lam=1e9)
-    out = scene_functionals(scene)
-    ite_pointwise = sum(
-        0.5 * (scene.r1(x) - scene.r0(x)) ** 2 * (2.0 / 9.0)
-        for x in scene.xs
-    )
+    out = risk_terms(*scene.arrays())
+    r0 = P.polyval(scene.xs, scene.r0_coeffs)
+    r1 = P.polyval(scene.xs, scene.r1_coeffs)
+    ite_pointwise = np.sum(0.5 * (r1 - r0) ** 2 * (2.0 / 9.0))
     assert out["eps_pair"] == pytest.approx(ite_pointwise, rel=1e-6)
 
 
 def scene_pair_loss_via_losses(scene):
     """Recompute the scene's pair risk through the loss module's arithmetic
     on the induced weighted pair enumeration (cross-module consistency)."""
-    r0 = scene.r0(scene.xs)
-    r1 = scene.r1(scene.xs)
+    r0, r1, p0, p1, u0, q0, q1 = scene.arrays()
     total = 0.0
     weight = 0.0
     for u, p, q, r_anchor, r_nbr in (
-        (scene.u1, scene.p1, scene.q1, r1, r0),
-        (scene.u0, scene.p0, scene.q0, r0, r1),
+        (1 - u0, p1, q1, r1, r0),
+        (u0, p0, q0, r0, r1),
     ):
         for i in range(len(scene.xs)):
             if p[i] == 0:
@@ -114,9 +131,31 @@ def test_pair_risk_agrees_with_loss_module():
     # pair records through the loss code path
     for seed in range(5):
         scene = random_scene(np.random.default_rng(seed))
-        direct = scene_functionals(scene)["eps_pair"]
+        direct = risk_terms(*scene.arrays())["eps_pair"]
         via_losses = scene_pair_loss_via_losses(scene)
         assert via_losses == pytest.approx(direct, abs=1e-12)
+
+
+def test_identity_holds_on_trained_model_held_out_rows():
+    # the identity is exact on any finite support: here the 200 held-out
+    # rows of a trained model, with empirical arm masses and a softmax
+    # kernel over opposite-arm rows in the identity embedding
+    full = gen_polynomial_synth(400, np.random.default_rng(3))
+    train_ds, held = full.subset(np.arange(200)), full.subset(np.arange(200, 400))
+    config = TrainConfig(loss=LossConfig(kind="pair"), arch="shallow",
+                         max_epochs=3, patience=3, psi=PSI_IDENTITY, lr=1e-3,
+                         pairing=PairingConfig(num_neighbors=2), seed=3)
+    model, _ = train(train_ds, config)
+    r0, r1 = (held.true_mu(t) - predict_outcomes(model, held.x, t)
+              for t in (0.0, 1.0))
+    treated = held.t == 1
+    p0, p1 = ~treated / np.sum(~treated), treated / np.sum(treated)
+    d = np.linalg.norm(held.x[:, None, :] - held.x[None, :, :], axis=2)
+    q0, q1 = softmax_kernel(d, treated, 5.0), softmax_kernel(d, ~treated, 5.0)
+    out = risk_terms(r0, r1, p0, p1, np.mean(~treated), q0, q1)
+    assert out["gap"] <= 1e-10
+    # the risks are not trivially zero, so the identity is exercised
+    assert out["eps_ite"] > 0.01 and out["eps_pair"] > 0.01
 
 
 def test_bound_holds_on_linear_scenes():
