@@ -360,9 +360,15 @@ def _ihdp_response(x, t, c1):
     return wave * factor + bump
 
 
+def _news_gain(p1, p2, p3):
+    # exp(p2 / p3 - 0.3) clipped to [-2, 2]; capping the exponent at 1
+    # keeps exp finite and, as exp(1) > 2, moves no clipped value
+    return 2.0 * (np.clip(np.exp(np.minimum(p2 / p3 - 0.3, 1.0)), -2.0, 2.0)
+                  + 20.0 * p1)
+
+
 def _news_response(p1, p2, p3, t):
-    y_star = np.exp(p2 / p3 - 0.3)
-    return 2.0 * (np.clip(y_star, -2.0, 2.0) + 20.0 * p1) * (
+    return _news_gain(p1, p2, p3) * (
         4.0 * (t - 0.5) ** 2 + np.sin(0.5 * np.pi * t)
     )
 
@@ -442,7 +448,7 @@ def gen_continuous_response(covariates, family, rng, dosage_bias=2.0,
         noiseless = _news_response(p1, p2, p3, t)
         # noise enters the second factor of the response product, so the
         # effective residual scale is per-row; declare its rms
-        gain = 2.0 * (np.clip(np.exp(p2 / p3 - 0.3), -2.0, 2.0) + 20.0 * p1)
+        gain = _news_gain(p1, p2, p3)
         noise = rng.normal(0.0, noise_scale * np.sqrt(0.5), size=n)
         y = noiseless + gain * noise
         base_sd = np.sqrt(0.5) * np.sqrt(np.mean(gain**2))

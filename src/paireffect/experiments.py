@@ -11,11 +11,11 @@ treatment arms sit to each other.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
 import os
-from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -45,7 +45,6 @@ _READ_KEYS = {
                              "dosage_bias", "noise_scale"},
     "csv": {"path", "mode", "n_test"},
     "grid": set(_GRID_KEYS),
-    "train": {f.name for f in fields(TrainConfig)} | {"alpha"},
 }
 
 
@@ -141,8 +140,17 @@ def _is_integral(value) -> bool:
 
 
 def _check_descriptor(descriptor) -> None:
-    """Reject, before any cell runs, keys that no part of the run reads, and
-    counts and seeds that are not integers."""
+    """Reject, before any cell runs, every fault that all cells share: in
+    methods, seeds, keys, counts, the continuous family or the `train`
+    block.  A bad grid value fails only its own cells."""
+    methods = descriptor.get("methods")
+    if not methods:
+        raise ValueError("descriptor lists no methods")
+    for m in methods:
+        if m not in KINDS:
+            raise ValueError(f"unknown method {m!r}")
+    if not descriptor.get("seeds"):
+        raise ValueError("descriptor lists no seeds")
     gen, spec = descriptor.get("generator"), descriptor.get("csv")
     if (gen is None) == (not spec):
         raise ValueError("descriptor needs exactly one of 'generator' and 'csv'")
@@ -151,13 +159,15 @@ def _check_descriptor(descriptor) -> None:
     source = "csv" if gen is None else f"{gen.get('kind')} generator"
     if source not in _READ_KEYS:
         raise ValueError(f"unknown generator kind {gen.get('kind')!r}")
+    if source == "continuous generator" and gen.get("family") not in FAMILIES:
+        raise ValueError(f"unknown continuous family {gen.get('family')!r}")
     train = descriptor.get("train", {})
     if {"loss", "seed"} & set(train):
         raise ValueError("train keys loss and seed are set per cell, from "
                          "methods, alpha, seed and seeds")
     grid = descriptor.get("grid", {})
     for part, keys in (("descriptor", descriptor), (source, gen or spec),
-                       ("grid", grid), ("train", train)):
+                       ("grid", grid)):
         unknown = sorted(set(keys) - _READ_KEYS[part])
         if unknown:
             raise ValueError(f"unknown {part} keys {unknown}")
@@ -174,6 +184,7 @@ def _check_descriptor(descriptor) -> None:
     for name, value in counts:
         if not _is_integral(value):
             raise ValueError(f"{name} must be an integer, not {value!r}")
+    _cell_config(methods[0], {}, train, 0)
 
 
 def _dataset_from_descriptor(descriptor, data_seed):
@@ -189,13 +200,9 @@ def _dataset_from_descriptor(descriptor, data_seed):
                 propensity_strength=float(gen.get("propensity_strength", 1.0)),
             )
         else:
-            family = gen.get("family")
-            if family not in FAMILIES:
-                raise ValueError(f"unknown continuous family {family!r}")
-            dim = int(gen.get("dim", 25))
-            x = rng.standard_normal((n + n_test, dim))
+            x = rng.standard_normal((n + n_test, int(gen.get("dim", 25))))
             full = gen_continuous_response(
-                x, family,
+                x, gen["family"],
                 dosage_bias=float(gen.get("dosage_bias", 2.0)),
                 noise_scale=float(gen.get("noise_scale", 1.0)),
                 rng=rng,
@@ -256,6 +263,22 @@ def _pair_shift_mmd(ds, pairing: PairingConfig, seed, sigma):
     return weighted, per_arm, len(pairs)
 
 
+def _run_cell(method, cell, cell_seed, overrides, train_ds, test_ds,
+              pair_shift) -> dict:
+    """Train one cell and score it: the row's values past its method, seed
+    and grid values.  pair_shift maps a PairingConfig to the seed's
+    pair-shift MMD, or is None where that is not measured."""
+    config = _cell_config(method, cell, overrides, cell_seed)
+    model, record = train(train_ds, config)
+    row = {name: evaluate_pehe(model, ds, seed=cell_seed,
+                               probability_outputs=method == PAIR_BINARY)
+           for name, ds in (("pehe_in", train_ds), ("pehe_out", test_ds))}
+    row.update(val_loss=record.best_val, epochs=record.stop_epoch)
+    if method != FACTUAL and pair_shift is not None:
+        row["mmd_p_q"] = pair_shift(config.pairing)
+    return row
+
+
 def run_experiment(descriptor, out_dir) -> dict:
     """Execute every (method x seed x grid) cell of a descriptor.
 
@@ -264,76 +287,45 @@ def run_experiment(descriptor, out_dir) -> dict:
     recorded per cell and do not stop the rest.  Writes results.csv and
     summary.json into out_dir and returns the summary.
     """
-    methods = descriptor.get("methods")
-    if not methods:
-        raise ValueError("descriptor lists no methods")
-    for m in methods:
-        if m not in KINDS:
-            raise ValueError(f"unknown method {m!r}")
-    seeds = descriptor.get("seeds")
-    if not seeds:
-        raise ValueError("descriptor lists no seeds")
     _check_descriptor(descriptor)
+    methods = descriptor["methods"]
     # cells derive their streams from the integers results.csv reports
-    seeds = [int(seed) for seed in seeds]
+    seeds = [int(seed) for seed in descriptor["seeds"]]
     global_seed = int(descriptor.get("seed", 0))
     overrides = descriptor.get("train", {})
     grid = descriptor.get("grid", {})
     axes = [k for k in _GRID_KEYS if k in grid]
-    combos = list(itertools.product(*(grid[k] for k in axes))) or [()]
+    combos = list(itertools.product(*(grid[k] for k in axes)))
 
     rows, failures = [], []
-    mmd_cache = {}
     data_diags = {}
     for seed in seeds:
         train_ds, test_ds = _dataset_from_descriptor(
             descriptor, derive_seed(global_seed, "data", seed)
         )
-        diag = {}
+        data_diags[seed], pair_shift = {}, None
         if train_ds.mode == BINARY:
             sigma = median_heuristic(train_ds.x)
-            diag["mmd_p0_p1"] = mmd_rbf(
+            data_diags[seed]["mmd_p0_p1"] = mmd_rbf(
                 train_ds.x[train_ds.t == 0], train_ds.x[train_ds.t == 1],
                 bandwidth=sigma,
             )
-        data_diags[seed] = diag
+            diag_seed = derive_seed(derive_seed(global_seed, "diag", seed),
+                                    "diag-pairs")
+            pair_shift = functools.cache(lambda pairing: _pair_shift_mmd(
+                train_ds, pairing, diag_seed, sigma)[0])
         for method in methods:
             for combo_idx, combo in enumerate(combos):
                 cell = dict(zip(axes, combo))
-                cell_seed = derive_seed(global_seed, method, seed, combo_idx)
-                row = {"method": method, "seed": seed, **cell}
+                key = {"method": method, "seed": seed, **cell}
                 try:
-                    config = _cell_config(method, cell, overrides, cell_seed)
-                    model, record = train(train_ds, config)
-                    prob = method == PAIR_BINARY
-                    row["pehe_in"] = evaluate_pehe(
-                        model, train_ds, seed=cell_seed,
-                        probability_outputs=prob,
-                    )
-                    row["pehe_out"] = evaluate_pehe(
-                        model, test_ds, seed=cell_seed,
-                        probability_outputs=prob,
-                    )
-                    row["val_loss"] = record.best_val
-                    row["epochs"] = record.stop_epoch
-                    if method != FACTUAL and train_ds.mode == BINARY:
-                        key = (seed, tuple(sorted(
-                            asdict(config.pairing).items())))
-                        if key not in mmd_cache:
-                            mmd_cache[key] = _pair_shift_mmd(
-                                train_ds, config.pairing,
-                                derive_seed(derive_seed(global_seed, "diag",
-                                                        seed), "diag-pairs"),
-                                sigma,
-                            )[0]
-                        row["mmd_p_q"] = mmd_cache[key]
+                    rows.append({**key, **_run_cell(
+                        method, cell,
+                        derive_seed(global_seed, method, seed, combo_idx),
+                        overrides, train_ds, test_ds, pair_shift)})
                 except Exception as exc:  # noqa: BLE001 - cell isolation
-                    failures.append({
-                        "method": method, "seed": seed, **cell,
-                        "error": type(exc).__name__, "message": str(exc),
-                    })
-                    continue
-                rows.append(row)
+                    failures.append({**key, "error": type(exc).__name__,
+                                     "message": str(exc)})
 
     columns = ["method", "seed", *axes, "pehe_in", "pehe_out", "val_loss",
                "epochs", "mmd_p_q"]

@@ -118,7 +118,7 @@ class PhiEmbedding:
 # Pair datasets
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairingConfig:
     delta_pair: float = 0.1
     num_neighbors: int = 3

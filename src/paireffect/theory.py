@@ -31,10 +31,16 @@ _MASS_TOL = 1e-9
 
 def softmax_kernel(d, opposite, lam) -> np.ndarray:
     """Rows of d are anchors; each row is a softmax of -lam * d over the
-    columns where the opposite-arm mask `opposite` is set."""
+    columns where the opposite-arm mask `opposite` is set, or its lam -> inf
+    limit (equal mass on the nearest) where every lam * d overflows."""
     if not np.any(opposite):
         raise ValueError("opposite arm has empty support")
-    logits = np.where(opposite[None, :], -lam * d, -np.inf)
+    with np.errstate(over="ignore"):
+        logits = np.where(opposite[None, :], -lam * d, -np.inf)
+    lost = np.isneginf(np.max(logits, axis=1))
+    near = np.where(opposite[None, :], d[lost], np.inf)
+    logits[lost] = np.where(near == np.min(near, axis=1, keepdims=True), 0.0,
+                            -np.inf)
     z = np.exp(logits - np.max(logits, axis=1, keepdims=True))
     return z / np.sum(z, axis=1, keepdims=True)
 

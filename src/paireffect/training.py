@@ -42,6 +42,7 @@ _PSI_KINDS = (PSI_IDENTITY, PSI_RANDOM, PSI_FACTUAL)
 
 
 _COERCE = {"lr": float, "val_fraction": float}
+_NESTED = {"loss": LossConfig, "pairing": PairingConfig, "reg": RegConfig}
 
 
 @dataclass
@@ -84,8 +85,10 @@ class TrainConfig:
         floats, an integral float count (batch_size 50.0) its int, and every
         other value passes through as given, so a count of 2.5 or true
         raises ValueError and config_hash still tells a temperature of 5
-        from 5.0.  Unknown keys raise ValueError."""
+        from 5.0.  Unknown keys, nested ones too, raise ValueError."""
         unknown = set(doc) - {f.name for f in fields(cls)}
+        unknown |= {f"{key}.{name}" for key, sub in _NESTED.items() for name
+                    in set(doc.get(key, {})) - {f.name for f in fields(sub)}}
         if unknown:
             raise ValueError(f"unknown train config keys {sorted(unknown)}")
         kwargs = {key: _COERCE[key](value) if key in _COERCE else value
@@ -93,8 +96,7 @@ class TrainConfig:
         for key in ("batch_size", "max_epochs", "patience"):
             if type(kwargs.get(key)) is float and kwargs[key].is_integer():
                 kwargs[key] = int(kwargs[key])
-        for key, sub in (("loss", LossConfig), ("pairing", PairingConfig),
-                         ("reg", RegConfig)):
+        for key, sub in _NESTED.items():
             if key in kwargs:
                 kwargs[key] = sub(**kwargs[key])
         return cls(**kwargs)

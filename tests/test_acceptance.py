@@ -77,34 +77,26 @@ def test_criterion_02_neighbor_shift_smaller_than_arm_shift(capsys):
 
 def test_criterion_03_risk_identity_on_finite_scenes(capsys):
     start = time.perf_counter()
-    rng = np.random.default_rng(0)
-    gaps = [theory.verify_lemma_identity(theory.random_scene(rng))["gap"]
-            for _ in range(50)]
+    lemma = theory.verify("lemma", 50, 0)["lemma"]
     elapsed = time.perf_counter() - start
-    ok = max(gaps) <= 1e-10 and elapsed <= 10.0
+    ok = lemma["ok"] and elapsed <= 10.0
     _verdict(capsys, 3, ok,
-             f"max identity gap={max(gaps):.2e} over 50 scenes "
+             f"max identity gap={lemma['max_gap']:.2e} over 50 scenes "
              f"(need <=1e-10), {elapsed:.1f}s (limit 10s)")
 
 
 def test_criterion_04_risk_bound_and_tighter_ipm_term(capsys):
+    # the suite draws its linear scenes from seed 1, its confounded ones
+    # from seed 2
     start = time.perf_counter()
-    rng = np.random.default_rng(1)
-    results = [theory.verify_ite_bound(theory.random_scene(rng, max_degree=1))
-               for _ in range(20)]
-    holds = sum(r["holds"] for r in results)
-    min_margin = min(r["bound"] - r["eps_ite"] for r in results)
-    rng = np.random.default_rng(2)
-    confounded = []
-    for _ in range(10):
-        res = theory.verify_ite_bound(theory.confounded_scene(rng))
-        confounded.append(res["ipm_term"] < res["w1_p0_p1"])
+    bound = theory.verify("bound", 20, 0)["bound"]
     elapsed = time.perf_counter() - start
-    ok = (holds == 20 and all(confounded) and elapsed <= 30.0)
+    ok = bound["ok"] and elapsed <= 30.0
+    held = "20/20" if bound["all_hold"] else "<20/20"
     _verdict(capsys, 4, ok,
-             f"bound held {holds}/20 linear scenes (min margin "
-             f"{min_margin:.3f}), pair IPM term tighter on "
-             f"{sum(confounded)}/10 confounded scenes, "
+             f"bound held {held} linear scenes (min margin "
+             f"{bound['min_margin']:.3f}), pair IPM term tighter on "
+             f"{bound['confounded_tighter']}/10 confounded scenes, "
              f"{elapsed:.1f}s (limit 30s)")
 
 

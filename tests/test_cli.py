@@ -136,12 +136,14 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
     data = tmp_path / "data.csv"
     assert main(["gen", "polynomial", "--n", "40", "--out", str(data)]) == 0
     config = tmp_path / "train.json"
-    config.write_text(json.dumps({"max_epoch": 5}))
-    capsys.readouterr()
-    rc, doc = run_cli(capsys, "train", "--data", str(data),
-                      "--config", str(config))
-    assert rc == 1
-    assert doc["error"] == "ValueError" and "max_epoch" in doc["message"]
+    for key, body in (("max_epoch", {"max_epoch": 5}),
+                      ("reg.l2", {"reg": {"l2": 0.1}})):
+        config.write_text(json.dumps(body))
+        capsys.readouterr()
+        rc, doc = run_cli(capsys, "train", "--data", str(data),
+                          "--config", str(config))
+        assert rc == 1
+        assert doc["error"] == "ValueError" and key in doc["message"]
 
 
 @pytest.mark.parametrize("name, value", [

@@ -1,4 +1,6 @@
+import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +189,17 @@ def test_continuous_families_generate_valid_datasets():
         # oracle evaluates at arbitrary dosages
         mu = ds.true_mu(0.5)
         assert np.all(np.isfinite(mu))
+
+
+def test_news_generates_without_overflow():
+    # exp(p2 / p3 - 0.3) used to overflow before its clip to [-2, 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, seed in itertools.product((50, 400, 1500), range(6)):
+            rng = np.random.default_rng(seed)
+            ds = gen_continuous_response(rng.standard_normal((n, 25)), "news",
+                                         rng)
+            assert np.all(np.isfinite(ds.true_mu(0.3)))
 
 
 def test_csv_round_trip_binary_with_oracle(tmp_path):

@@ -190,6 +190,13 @@ def test_run_experiment_rejects_unread_keys_before_any_cell(tmp_path):
             grid={"num_neighbors": [1], "psi": ["factual"]}),
         r"\['alpha'\]": tiny_descriptor(train={**BASE_TRAIN, "alpha": 1.0},
                                         grid={"alpha": [0.5]}),
+        # train values, read by the config every cell builds
+        "pairing.temprature": tiny_descriptor(
+            train={**BASE_TRAIN, "pairing": {"temprature": 5.0}}),
+        "reg.l2": tiny_descriptor(train={**BASE_TRAIN, "reg": {"l2": 0.1}}),
+        "max_epochs": tiny_descriptor(train={**BASE_TRAIN, "max_epochs": 2.5}),
+        "lr": tiny_descriptor(train={**BASE_TRAIN, "lr": -1}),
+        "alpha": tiny_descriptor(train={**BASE_TRAIN, "alpha": 5}),
     }
     for i, (named, desc) in enumerate(cases.items()):
         with pytest.raises(ValueError, match=named):

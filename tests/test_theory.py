@@ -91,6 +91,18 @@ def test_zero_residuals_make_all_risks_zero():
     assert out["eps_pair"] == 0.0
 
 
+def test_kernel_takes_the_sharp_limit_where_every_distance_overflows():
+    # lam * d overflows on the only opposite-arm column of both anchors; a
+    # plain softmax of -inf logits would make both kernel rows NaN
+    scene = FiniteScene(xs=[0, 2], p0=[1, 0], p1=[0, 1], u0=0.5,
+                        r0_coeffs=[1], r1_coeffs=[0.5], lam=1e308)
+    assert verify_lemma_identity(scene)["gap"] == 0.0
+    assert verify_ite_bound(scene)["holds"]
+    d = np.array([[1.0, 3.0, 3.0], [2.0, 5.0, 5.0]])
+    q = softmax_kernel(d, np.array([False, True, True]), 1e308)
+    assert np.array_equal(q, [[0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+
+
 def test_sharp_kernel_with_identical_arms_closes_gap():
     # when both arms share covariate mass and the kernel is near-degenerate
     # at the anchor, neighbors coincide with anchors and the pair risk equals

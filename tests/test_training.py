@@ -38,6 +38,10 @@ def fast_config(**kw):
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="max_epoch"):
         TrainConfig.from_dict({"max_epoch": 5, "lr": 1e-3})
+    with pytest.raises(ValueError,
+                       match=r"\['pairing.temprature', 'reg.l2'\]"):
+        TrainConfig.from_dict({"pairing": {"temprature": 5.0},
+                               "reg": {"l2": 0.1}})
 
 
 def test_config_validation():
